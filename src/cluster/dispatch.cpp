@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 
 #include "hcep/des/simulator.hpp"
 #include "hcep/obs/obs.hpp"
@@ -133,60 +132,7 @@ MixedDispatchResult run_engine(const model::ClusterSpec& cluster,
 #endif
 
   std::size_t rr_cursor = 0;
-  const auto pick_node = [&](std::size_t program) -> std::size_t {
-    switch (options.policy) {
-      case DispatchPolicy::kRoundRobin: {
-        const std::size_t i = rr_cursor;
-        rr_cursor = (rr_cursor + 1) % nodes.size();
-        return i;
-      }
-      case DispatchPolicy::kRandom:
-        return static_cast<std::size_t>(rng.uniform_int(nodes.size()));
-      case DispatchPolicy::kJoinShortestQueue: {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < nodes.size(); ++i) {
-          if (nodes[i].queued < nodes[best].queued ||
-              (nodes[i].queued == nodes[best].queued &&
-               nodes[i].service[program] < nodes[best].service[program])) {
-            best = i;
-          }
-        }
-        return best;
-      }
-      case DispatchPolicy::kFastestFirst: {
-        std::size_t best = 0;
-        double best_eta = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          const double backlog =
-              std::max(0.0, (nodes[i].free_at - sim.now()).value());
-          const double eta = backlog + nodes[i].service[program].value();
-          if (eta < best_eta) {
-            best_eta = eta;
-            best = i;
-          }
-        }
-        return best;
-      }
-      case DispatchPolicy::kLeastEnergy: {
-        std::size_t best = 0;
-        double best_score = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          const double joules = nodes[i].dynamic[program].value() *
-                                nodes[i].service[program].value();
-          const double backlog =
-              std::max(0.0, (nodes[i].free_at - sim.now()).value());
-          // Energy dominates; backlog breaks ties at the millijoule scale.
-          const double score = joules + backlog * 1e-3;
-          if (score < best_score) {
-            best_score = score;
-            best = i;
-          }
-        }
-        return best;
-      }
-    }
-    throw PreconditionError("simulate_dispatch: unknown policy");
-  };
+  const auto every_node = [](std::size_t) { return true; };
 
   RunningStats response_stats;
   std::vector<double> responses;
@@ -208,7 +154,9 @@ MixedDispatchResult run_engine(const model::ClusterSpec& cluster,
     while (program + 1 < streams.size() && coin > cumulative[program])
       ++program;
 
-    const std::size_t i = pick_node(program);
+    const std::size_t i =
+        choose_node(options.policy, nodes, program, sim.now(), nodes.size(),
+                    every_node, rr_cursor, rng);
     Node& n = nodes[i];
 #if HCEP_OBS
     if (o != nullptr) {

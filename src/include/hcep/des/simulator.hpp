@@ -79,11 +79,29 @@ class BasicSimulator {
              std::is_invocable_r_v<void, std::decay_t<F>&>)
   void schedule_at(Seconds t, F&& f) {
     require(t >= now_, "Simulator::schedule_at: time lies in the past");
-    if constexpr (requires { queue_.emplace(t, next_seq_, std::forward<F>(f)); }) {
-      queue_.emplace(t, next_seq_++, std::forward<F>(f));
-    } else {
-      queue_.push(t, next_seq_++, Callback(std::forward<F>(f)));
-    }
+    insert(t, next_seq_++, std::forward<F>(f));
+  }
+
+  /// Claims the next `n` sequence numbers for schedule_claimed. Events at
+  /// one instant run in sequence order, so an event scheduled later under
+  /// a claimed number still runs ahead of every same-instant event
+  /// scheduled after the claim: a stream replayed lazily, one pending
+  /// event at a time, keeps the order it would have had scheduled whole.
+  [[nodiscard]] std::uint64_t claim_sequence(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedules `f` at `t` under `seq`, a number claim_sequence returned;
+  /// each claimed number is used at most once.
+  template <class F>
+    requires(!std::is_same_v<std::decay_t<F>, Callback> &&
+             std::is_invocable_r_v<void, std::decay_t<F>&>)
+  void schedule_claimed(Seconds t, std::uint64_t seq, F&& f) {
+    require(t >= now_, "Simulator::schedule_claimed: time lies in the past");
+    require(seq < next_seq_, "Simulator::schedule_claimed: unclaimed seq");
+    insert(t, seq, std::forward<F>(f));
   }
 
   /// Schedules `cb` after `delay` from now (delay >= 0).
@@ -148,6 +166,17 @@ class BasicSimulator {
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
  private:
+  /// Emplaces the callable straight into the scheduler's event record
+  /// when the scheduler supports it.
+  template <class F>
+  void insert(Seconds t, std::uint64_t seq, F&& f) {
+    if constexpr (requires { queue_.emplace(t, seq, std::forward<F>(f)); }) {
+      queue_.emplace(t, seq, std::forward<F>(f));
+    } else {
+      queue_.push(t, seq, Callback(std::forward<F>(f)));
+    }
+  }
+
   Sched queue_;
   Seconds now_{0.0};
   std::uint64_t next_seq_ = 0;

@@ -182,8 +182,9 @@ struct TrafficResult {
 /// (the vector is the budget) and `options.shards` must be 1: the
 /// upstream tier owns any parallelism, and a single event loop keeps
 /// the replay byte-identical to the equivalent generated run. Arrivals
-/// are scheduled lazily (one pending DES event at a time), so the
-/// per-event cost matches the generator pump, not an O(n) preload.
+/// are scheduled lazily (one pending DES event at a time) by the same
+/// replay feed each shard of a sharded generated run uses, so the
+/// per-event cost matches the generator pump.
 [[nodiscard]] TrafficResult simulate_traffic(
     const model::ClusterSpec& cluster,
     const std::vector<TrafficClass>& classes,

@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace hcep {
 
@@ -24,9 +25,12 @@ class NumericalError : public Error {
   using Error::Error;
 };
 
-/// Throws PreconditionError with `what` when `ok` is false.
-inline void require(bool ok, const std::string& what) {
-  if (!ok) throw PreconditionError(what);
+/// Throws PreconditionError with `what` when `ok` is false. The message
+/// is a view, so a passing check on a literal builds no string: hot-path
+/// preconditions (every DES schedule, every token-bucket call) stay
+/// allocation-free.
+inline void require(bool ok, std::string_view what) {
+  if (!ok) throw PreconditionError(std::string(what));
 }
 
 }  // namespace hcep

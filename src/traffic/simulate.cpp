@@ -4,6 +4,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "hcep/config/operating_points.hpp"
@@ -21,7 +22,7 @@ namespace hcep::traffic {
 namespace {
 
 /// One physical node: per-class service/dynamic-power tables plus live
-/// queue state (same materialization as cluster::simulate_dispatch).
+/// queue state — the fields cluster::choose_node reads.
 struct Node {
   std::string type;
   std::vector<Seconds> service;  ///< indexed by class
@@ -192,6 +193,8 @@ std::vector<double> cumulative_weights(
   return cumulative;
 }
 
+/// The run's one latency sample store: every completion's wait, service
+/// and sojourn, kept per class (the overall summaries use their union).
 struct ClassSamples {
   std::vector<double> wait, service, sojourn;
   std::uint64_t offered = 0, admitted = 0, shed = 0, retries = 0,
@@ -199,13 +202,23 @@ struct ClassSamples {
   Joules dynamic_energy{};
 };
 
+/// Appends `src` to `dst`. An empty `dst` takes over `src`'s buffer, so
+/// merging a single engine's outputs copies nothing.
+template <class T>
+void append(std::vector<T>& dst, std::vector<T>& src) {
+  if (dst.empty())
+    dst = std::move(src);
+  else
+    dst.insert(dst.end(), src.begin(), src.end());
+}
+
 /// One in-flight request attempt; retries carry the same first_arrival
 /// and arrival index. Sized so the hot-path callback captures below
 /// stay within des::Callback's inline buffer.
 struct Request {
-  std::uint32_t cls = 0;
-  std::uint32_t index = 0;  ///< arrival index (record_requests join key)
+  std::uint64_t index = 0;  ///< arrival index (record_requests join key)
   Seconds first_arrival{};
+  std::uint32_t cls = 0;
   std::uint32_t attempt = 1;
 };
 static_assert(sizeof(Request) <= 24, "Request must stay callback-inline");
@@ -213,6 +226,14 @@ static_assert(sizeof(Request) <= 24, "Request must stay callback-inline");
 /// The per-event-loop simulation engine: one per shard (single-shard runs
 /// use exactly one over all nodes, preserving the seed code path's event
 /// and RNG order byte-for-byte).
+///
+/// Arrivals enter through one of two feeds, each holding one pending DES
+/// event at a time: the generator pump (single-shard generated runs; the
+/// class coin, node draws and generator share the engine's RNG in the
+/// seed code's interleaving) or the replay feed over a time-sorted
+/// Arrival vector (assigned-arrival runs, and each shard's dealt slice of
+/// a sharded run). Completed requests land in the per-class sample store
+/// only; the run's overall summaries are taken from their union.
 ///
 /// Every callback this engine schedules captures at most {Engine*, node
 /// index, Request, Seconds} — 48 bytes — so no event allocates
@@ -222,8 +243,8 @@ static_assert(sizeof(Request) <= 24, "Request must stay callback-inline");
 /// With a controller installed (options.control.enabled()) the engine
 /// doubles as the control::Actuator: ticks are scheduled as ordinary DES
 /// events, node sleep/wake and operating-point changes mutate the live
-/// node tables, and every control branch is guarded by `copts_` so the
-/// open-loop path executes the seed instruction stream unchanged.
+/// node tables, and every control branch is guarded by `copts_` so an
+/// open-loop run draws and schedules exactly as if control did not exist.
 class Engine final : public control::Actuator {
  public:
   Engine(des::Simulator& sim, const std::vector<TrafficClass>& classes,
@@ -242,6 +263,7 @@ class Engine final : public control::Actuator {
         rng_(rng),
         tracing_(tracing),
         per_class_(classes.size()),
+        dispatchable_(nodes_.size()),
         shard_index_(shard_index),
         shard_count_(static_cast<std::uint32_t>(options.shards)) {
     if (options.admission.bucket_enabled()) {
@@ -250,9 +272,6 @@ class Engine final : public control::Actuator {
           options.admission.bucket_rate_per_s / split,
           std::max(1.0, options.admission.bucket_burst / split));
     }
-    all_wait_.reserve(request_budget);
-    all_service_.reserve(request_budget);
-    all_sojourn_.reserve(request_budget);
     if (options.record_requests) records_.reserve(request_budget);
 #if HCEP_OBS
     o_ = obs::current();
@@ -280,7 +299,6 @@ class Engine final : public control::Actuator {
       tables_ = tables;
       shard_share_ = shard_share;
       controller_ = copts_->controller->clone();
-      dispatchable_ = nodes_.size();
       window_shed_.assign(classes.size(), 0);
       window_sojourns_.resize(classes.size());
 #if HCEP_OBS
@@ -328,7 +346,7 @@ class Engine final : public control::Actuator {
     sim_.schedule_at(Seconds{0.0}, std::move(cb));
   }
 
-  /// Open-loop arrival pump (single-shard path): the generator is
+  /// Generator pump (single-shard generated runs): the generator is
   /// sampled inside the event loop, exactly like the seed code.
   void start_pump(const ArrivalProcess& arrivals) {
     gen_ = arrivals.clone();
@@ -339,31 +357,27 @@ class Engine final : public control::Actuator {
       arrivals_done_ = true;
   }
 
-  /// Pre-assigned arrivals (sharded path): (time, class, global index)
-  /// triples generated up front from the shared arrival stream.
-  void preload(const std::vector<Arrival>& arrivals,
-               const std::vector<std::uint32_t>& indices) {
-    preload_total_ = arrivals.size();
-    if (preload_total_ == 0) arrivals_done_ = true;
-    for (std::size_t k = 0; k < arrivals.size(); ++k) {
-      auto cb = [this, cls = arrivals[k].cls, idx = indices[k]]() {
-        admit_arrival(cls, idx);
-      };
-      static_assert(des::Callback::stores_inline<decltype(cb)>);
-      sim_.schedule_at(arrivals[k].t, std::move(cb));
-    }
-  }
-
-  /// Assigned-arrival replay (fed path): a time-sorted vector owned by
-  /// the caller, scheduled lazily — each firing admits one arrival and
-  /// schedules the next, mirroring the generator pump's event cost.
-  void start_assigned(const std::vector<Arrival>& arrivals) {
-    assigned_ = &arrivals;
+  /// Replay feed: a time-sorted vector owned by the caller (the fed
+  /// path's assigned arrivals, or one shard's dealt slice), scheduled
+  /// lazily — each firing admits one arrival and schedules the next,
+  /// mirroring the generator pump's event cost. Element j carries the
+  /// global arrival index j * shards + shard (round-robin dealing).
+  ///
+  /// Same-instant order: with `claim_order` the vector claims its DES
+  /// sequence numbers now, so each arrival runs ahead of every
+  /// same-instant event scheduled later, as if the whole vector had been
+  /// scheduled here — the order of a sharded run, whose stream exists up
+  /// front. Without it each arrival takes its number when scheduled, like
+  /// the pump's, so replaying a generated stream matches the generated
+  /// run.
+  void start_replay(const std::vector<Arrival>& arrivals, bool claim_order) {
+    replay_ = &arrivals;
     if (arrivals.empty()) {
       arrivals_done_ = true;
       return;
     }
-    schedule_assigned(arrivals.front().t);
+    if (claim_order) replay_seq_ = sim_.claim_sequence(arrivals.size());
+    schedule_replay(arrivals.front().t);
   }
 
   // ---- merged outputs ----
@@ -373,9 +387,6 @@ class Engine final : public control::Actuator {
   [[nodiscard]] Joules dynamic_energy() const { return dynamic_energy_; }
   [[nodiscard]] std::vector<ClassSamples>& per_class() { return per_class_; }
   [[nodiscard]] std::vector<Node>& nodes() { return nodes_; }
-  [[nodiscard]] std::vector<double>& all_wait() { return all_wait_; }
-  [[nodiscard]] std::vector<double>& all_service() { return all_service_; }
-  [[nodiscard]] std::vector<double>& all_sojourn() { return all_sojourn_; }
   [[nodiscard]] control::ControlSummary& control_summary() { return csum_; }
   [[nodiscard]] std::vector<std::pair<double, double>>& ledger() {
     return ledger_;
@@ -428,7 +439,7 @@ class Engine final : public control::Actuator {
       const double coin = rng_.uniform01();
       while (cls + 1 < classes_.size() && coin > cumulative_[cls]) ++cls;
     }
-    arrive(cls, static_cast<std::uint32_t>(offered));
+    arrive(cls, offered);
     const Seconds next = gen_->next(sim_.now(), rng_);
     if (next.value() < std::numeric_limits<double>::infinity())
       schedule_pump(next);
@@ -436,31 +447,28 @@ class Engine final : public control::Actuator {
       arrivals_done_ = true;
   }
 
-  void schedule_assigned(Seconds t) {
-    auto cb = [this]() { assigned_arrival(); };
+  void schedule_replay(Seconds t) {
+    auto cb = [this]() { replay_arrival(); };
     static_assert(des::Callback::stores_inline<decltype(cb)>);
-    sim_.schedule_at(t, std::move(cb));
+    if (replay_seq_)
+      sim_.schedule_claimed(t, *replay_seq_ + replay_cursor_, std::move(cb));
+    else
+      sim_.schedule_at(t, std::move(cb));
   }
 
-  /// One assigned-arrival firing: admit the arrival at the cursor and
-  /// lazily schedule the next one (times are sorted ascending, so the
-  /// next event is never in the past).
-  void assigned_arrival() {
-    const std::size_t k = assigned_cursor_++;
-    if (assigned_cursor_ >= assigned_->size()) arrivals_done_ = true;
-    arrive((*assigned_)[k].cls, static_cast<std::uint32_t>(k));
-    if (assigned_cursor_ < assigned_->size())
-      schedule_assigned((*assigned_)[assigned_cursor_].t);
+  /// One replay firing: admit the arrival at the cursor and lazily
+  /// schedule the next one (times are sorted ascending, so the next
+  /// event is never in the past).
+  void replay_arrival() {
+    const std::size_t k = replay_cursor_++;
+    if (replay_cursor_ >= replay_->size()) arrivals_done_ = true;
+    arrive((*replay_)[k].cls,
+           std::uint64_t{k} * shard_count_ + shard_index_);
+    if (replay_cursor_ < replay_->size())
+      schedule_replay((*replay_)[replay_cursor_].t);
   }
 
-  /// Preloaded-arrival firing (class was drawn at generation time).
-  void admit_arrival(std::size_t cls, std::uint32_t index) {
-    ++preload_fired_;
-    if (preload_fired_ >= preload_total_) arrivals_done_ = true;
-    arrive(cls, index);
-  }
-
-  void arrive(std::size_t cls, std::uint32_t index) {
+  void arrive(std::size_t cls, std::uint64_t index) {
     ++offered;
     if (copts_ != nullptr) ++window_arrivals_;
     Request req;
@@ -786,137 +794,19 @@ class Engine final : public control::Actuator {
     return (*tables_)[nodes_[node].type_ord].rate[p];
   }
 
-  /// Availability-aware dispatch over non-sleeping, non-draining nodes
-  /// (same policy semantics as pick_node, restricted to the active set;
-  /// dispatchable_ >= 1 is an actuator invariant so this always finds
-  /// one).
-  std::size_t pick_available_node(std::size_t cls) {
-    const auto active = [&](std::size_t i) {
-      return nodes_[i].pstate == control::PowerState::kActive;
-    };
-    switch (options_.policy) {
-      case cluster::DispatchPolicy::kRoundRobin: {
-        std::size_t i = rr_cursor_;
-        while (!active(i)) i = (i + 1) % nodes_.size();
-        rr_cursor_ = (i + 1) % nodes_.size();
-        return i;
-      }
-      case cluster::DispatchPolicy::kRandom: {
-        std::uint64_t k = rng_.uniform_int(dispatchable_);
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          if (!active(i)) continue;
-          if (k == 0) return i;
-          --k;
-        }
-        break;
-      }
-      case cluster::DispatchPolicy::kJoinShortestQueue: {
-        std::size_t best = nodes_.size();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          if (!active(i)) continue;
-          if (best == nodes_.size() || nodes_[i].queued < nodes_[best].queued ||
-              (nodes_[i].queued == nodes_[best].queued &&
-               nodes_[i].service[cls] < nodes_[best].service[cls])) {
-            best = i;
-          }
-        }
-        if (best < nodes_.size()) return best;
-        break;
-      }
-      case cluster::DispatchPolicy::kFastestFirst: {
-        std::size_t best = nodes_.size();
-        double best_eta = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          if (!active(i)) continue;
-          const double backlog =
-              std::max(0.0, (nodes_[i].free_at - sim_.now()).value());
-          const double eta = backlog + nodes_[i].service[cls].value();
-          if (eta < best_eta) {
-            best_eta = eta;
-            best = i;
-          }
-        }
-        if (best < nodes_.size()) return best;
-        break;
-      }
-      case cluster::DispatchPolicy::kLeastEnergy: {
-        std::size_t best = nodes_.size();
-        double best_score = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          if (!active(i)) continue;
-          const double joules = nodes_[i].dynamic[cls].value() *
-                                nodes_[i].service[cls].value();
-          const double backlog =
-              std::max(0.0, (nodes_[i].free_at - sim_.now()).value());
-          const double score = joules + backlog * 1e-3;
-          if (score < best_score) {
-            best_score = score;
-            best = i;
-          }
-        }
-        if (best < nodes_.size()) return best;
-        break;
-      }
-    }
-    throw PreconditionError("simulate_traffic: no dispatchable node");
-  }
-
-  /// Dispatch-policy node choice, shared with cluster::simulate_dispatch
-  /// semantics (over this engine's node subset).
+  /// Node choice: cluster::choose_node (the chooser simulate_dispatch
+  /// uses too) over the active nodes — neither parked nor draining.
+  /// dispatchable_ counts them, so with none parked (always, in open
+  /// loop) kRandom draws uniform_int over the whole node set.
   std::size_t pick_node(std::size_t cls) {
-    if (copts_ != nullptr && dispatchable_ < nodes_.size())
-      return pick_available_node(cls);
-    switch (options_.policy) {
-      case cluster::DispatchPolicy::kRoundRobin: {
-        const std::size_t i = rr_cursor_;
-        rr_cursor_ = (rr_cursor_ + 1) % nodes_.size();
-        return i;
-      }
-      case cluster::DispatchPolicy::kRandom:
-        return static_cast<std::size_t>(rng_.uniform_int(nodes_.size()));
-      case cluster::DispatchPolicy::kJoinShortestQueue: {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < nodes_.size(); ++i) {
-          if (nodes_[i].queued < nodes_[best].queued ||
-              (nodes_[i].queued == nodes_[best].queued &&
-               nodes_[i].service[cls] < nodes_[best].service[cls])) {
-            best = i;
-          }
-        }
-        return best;
-      }
-      case cluster::DispatchPolicy::kFastestFirst: {
-        std::size_t best = 0;
-        double best_eta = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          const double backlog =
-              std::max(0.0, (nodes_[i].free_at - sim_.now()).value());
-          const double eta = backlog + nodes_[i].service[cls].value();
-          if (eta < best_eta) {
-            best_eta = eta;
-            best = i;
-          }
-        }
-        return best;
-      }
-      case cluster::DispatchPolicy::kLeastEnergy: {
-        std::size_t best = 0;
-        double best_score = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          const double joules = nodes_[i].dynamic[cls].value() *
-                                nodes_[i].service[cls].value();
-          const double backlog =
-              std::max(0.0, (nodes_[i].free_at - sim_.now()).value());
-          const double score = joules + backlog * 1e-3;
-          if (score < best_score) {
-            best_score = score;
-            best = i;
-          }
-        }
-        return best;
-      }
-    }
-    throw PreconditionError("simulate_traffic: unknown policy");
+    const bool all_active = dispatchable_ == nodes_.size();
+    return cluster::choose_node(
+        options_.policy, nodes_, cls, sim_.now(), dispatchable_,
+        [&](std::size_t i) {
+          return all_active ||
+                 nodes_[i].pstate == control::PowerState::kActive;
+        },
+        rr_cursor_, rng_);
   }
 
   void attempt(Request req) {
@@ -1040,9 +930,6 @@ class Engine final : public control::Actuator {
     per_class_[cls].dynamic_energy += joules;
 
     const Seconds sojourn = sim_.now() - first_arrival;
-    all_wait_.push_back(wait.value());
-    all_service_.push_back(service.value());
-    all_sojourn_.push_back(sojourn.value());
     per_class_[cls].wait.push_back(wait.value());
     per_class_[cls].service.push_back(service.value());
     per_class_[cls].sojourn.push_back(sojourn.value());
@@ -1094,20 +981,18 @@ class Engine final : public control::Actuator {
   Seconds makespan_{};
   Joules dynamic_energy_{};
   std::vector<ClassSamples> per_class_;
-  std::vector<double> all_wait_, all_service_, all_sojourn_;
   // --- closed-loop state (inert without a controller) ---
   const control::ControlOptions* copts_ = nullptr;
   const std::vector<TypePoints>* tables_ = nullptr;
   std::unique_ptr<control::Controller> controller_;
   double shard_share_ = 1.0;
-  std::size_t dispatchable_ = 0;
+  std::size_t dispatchable_ = 0;  ///< active nodes (all, in open loop)
   Seconds last_tick_{};
   bool event_tick_pending_ = false;
   bool arrivals_done_ = false;
-  std::size_t preload_total_ = 0;
-  std::size_t preload_fired_ = 0;
-  const std::vector<Arrival>* assigned_ = nullptr;
-  std::size_t assigned_cursor_ = 0;
+  const std::vector<Arrival>* replay_ = nullptr;
+  std::size_t replay_cursor_ = 0;
+  std::optional<std::uint64_t> replay_seq_;  ///< first claimed number
   std::vector<RequestRecord> records_;
   std::uint64_t window_arrivals_ = 0;
   std::vector<std::uint64_t> window_shed_;
@@ -1168,7 +1053,7 @@ namespace {
 /// or `assigned` (explicit time-sorted arrivals) is non-null. The
 /// generated paths execute the exact event and RNG sequence of previous
 /// releases; the assigned path reuses the single-shard event loop with
-/// the generator pump swapped for a lazy cursor over the vector.
+/// the generator pump swapped for the replay feed over the vector.
 TrafficResult run_simulation(const model::ClusterSpec& cluster,
                              const std::vector<TrafficClass>& classes,
                              const ArrivalProcess* process,
@@ -1241,7 +1126,7 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     // Classic path: one event loop, generator sampled in-loop. This is
     // byte-identical (same RNG draw order, same event sequence) to the
     // pre-sharding implementation. Assigned-arrival runs reuse this loop
-    // with the pump swapped for a lazy cursor over the caller's vector.
+    // with the pump swapped for the replay feed over the caller's vector.
     auto sim = std::make_unique<des::Simulator>();
     engines.push_back(std::make_unique<Engine>(
         *sim, classes, cumulative, options, std::move(all_nodes),
@@ -1251,7 +1136,7 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     engines[0]->start_control();
     if (assigned != nullptr) {
       process_name = "assigned";
-      engines[0]->start_assigned(*assigned);
+      engines[0]->start_replay(*assigned, /*claim_order=*/false);
     } else {
       std::unique_ptr<ArrivalProcess> gen = process->clone();
       process_name = gen->name();
@@ -1261,16 +1146,16 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
   } else {
     // Sharded path: the arrival stream (time and class of every request)
     // is generated up front from the seed — the same stream regardless
-    // of shard count — then requests and nodes are partitioned
-    // round-robin across shards. Shards share no mutable state, so the
-    // windows can run in parallel; per-request tracer spans are disabled
-    // (thread interleaving would make the trace nondeterministic) while
-    // the atomic metrics counters stay on.
+    // of shard count — then requests and nodes are dealt round-robin
+    // across shards, and each shard replays its slice through the replay
+    // feed. Shards share no mutable state, so the windows can run in
+    // parallel; per-request tracer spans are disabled (thread
+    // interleaving would make the trace nondeterministic) while the
+    // atomic metrics counters stay on.
     std::unique_ptr<ArrivalProcess> gen = process->clone();
     process_name = gen->name();
     Rng arrival_rng(options.seed);
     std::vector<std::vector<Arrival>> shard_arrivals(shard_count);
-    std::vector<std::vector<std::uint32_t>> shard_indices(shard_count);
     Seconds t{0.0};
     for (std::uint64_t k = 0; k < options.requests; ++k) {
       t = gen->next(t, arrival_rng);
@@ -1282,7 +1167,6 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
       }
       shard_arrivals[k % shard_count].push_back(
           Arrival{t, static_cast<std::uint32_t>(cls)});
-      shard_indices[k % shard_count].push_back(static_cast<std::uint32_t>(k));
     }
 
     std::vector<std::vector<Node>> shard_nodes(shard_count);
@@ -1300,12 +1184,13 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
                            static_cast<double>(total_nodes);
       engines.push_back(std::make_unique<Engine>(
           sharded.shard(s), classes, cumulative, options,
-          std::move(shard_nodes[s]),
-          options.requests / shard_count + 1,
+          std::move(shard_nodes[s]), shard_arrivals[s].size(),
           Rng(options.seed).split(static_cast<unsigned>(s)),
           /*tracing=*/false, tables_ptr, share, stream_ptr,
           static_cast<std::uint32_t>(s)));
-      engines[s]->preload(shard_arrivals[s], shard_indices[s]);
+      // The slice claims its order before the tick chain starts, so a
+      // shard's arrival runs ahead of a tick at the same instant.
+      engines[s]->start_replay(shard_arrivals[s], /*claim_order=*/true);
       engines[s]->start_control();
     }
     sharded.run(options.parallel_shards);
@@ -1317,7 +1202,6 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
   out.arrival_process = process_name;
   out.shards = shard_count;
 
-  std::vector<double> all_wait, all_service, all_sojourn;
   std::vector<ClassSamples> per_class(classes.size());
   Joules dynamic_energy{0.0};
   Seconds makespan{0.0};
@@ -1343,45 +1227,15 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
       dst.failed += src.failed;
       dst.slo_violations += src.slo_violations;
       dst.dynamic_energy += src.dynamic_energy;
-      if (engines.size() == 1) {
-        dst.wait = std::move(src.wait);
-        dst.service = std::move(src.service);
-        dst.sojourn = std::move(src.sojourn);
-      } else {
-        dst.wait.insert(dst.wait.end(), src.wait.begin(), src.wait.end());
-        dst.service.insert(dst.service.end(), src.service.begin(),
-                           src.service.end());
-        dst.sojourn.insert(dst.sojourn.end(), src.sojourn.begin(),
-                           src.sojourn.end());
-      }
-    }
-    if (engines.size() == 1) {
-      all_wait = std::move(e->all_wait());
-      all_service = std::move(e->all_service());
-      all_sojourn = std::move(e->all_sojourn());
-    } else {
-      all_wait.insert(all_wait.end(), e->all_wait().begin(),
-                      e->all_wait().end());
-      all_service.insert(all_service.end(), e->all_service().begin(),
-                         e->all_service().end());
-      all_sojourn.insert(all_sojourn.end(), e->all_sojourn().begin(),
-                         e->all_sojourn().end());
+      append(dst.wait, src.wait);
+      append(dst.service, src.service);
+      append(dst.sojourn, src.sojourn);
     }
     for (Node& n : e->nodes()) merged_nodes.push_back(&n);
   }
 
   if (options.record_requests) {
-    std::size_t total_records = 0;
-    for (auto& e : engines) total_records += e->records().size();
-    out.requests.reserve(total_records);
-    for (auto& e : engines) {
-      if (engines.size() == 1) {
-        out.requests = std::move(e->records());
-      } else {
-        out.requests.insert(out.requests.end(), e->records().begin(),
-                            e->records().end());
-      }
-    }
+    for (auto& e : engines) append(out.requests, e->records());
     // Arrival indices are unique per request, so sorting by index is a
     // total order — the record vector is identical for any shard count.
     std::sort(out.requests.begin(), out.requests.end(),
@@ -1389,10 +1243,6 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
                 return a.index < b.index;
               });
   }
-
-  out.wait = LatencySummary::from_samples(all_wait);
-  out.service = LatencySummary::from_samples(all_service);
-  out.sojourn = LatencySummary::from_samples(all_sojourn);
 
   Watts idle_floor{0.0};
   for (const Node* n : merged_nodes) idle_floor += n->idle;
@@ -1493,6 +1343,22 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     }
     out.classes.push_back(std::move(st));
   }
+
+  // The overall summaries are those of the union of the class samples:
+  // from_samples sorts before it sums, so the union's order never reaches
+  // the bytes, and a lone class's summary already is the union's.
+  const auto overall = [&](LatencySummary ClassStats::*summary,
+                           std::vector<double> ClassSamples::*samples) {
+    if (per_class.size() == 1) return out.classes[0].*summary;
+    std::vector<double> all;
+    all.reserve(out.completed);
+    for (const ClassSamples& cs : per_class)
+      all.insert(all.end(), (cs.*samples).begin(), (cs.*samples).end());
+    return LatencySummary::from_samples(all);
+  };
+  out.wait = overall(&ClassStats::wait, &ClassSamples::wait);
+  out.service = overall(&ClassStats::service, &ClassSamples::service);
+  out.sojourn = overall(&ClassStats::sojourn, &ClassSamples::sojourn);
 
   // Per node type (dispatch-result convention: busy fraction is averaged
   // over the nodes of the type).

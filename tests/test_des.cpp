@@ -118,6 +118,34 @@ TEST(Des, RejectsEmptyCallback) {
   EXPECT_THROW(sim.schedule_at(1_s, EventCallback{}), PreconditionError);
 }
 
+/// Two claimed events replayed lazily, the second scheduled only when the
+/// first fires, around plain events scheduled before and after the claim.
+template <class Sim>
+std::vector<int> claimed_replay_order() {
+  Sim sim;
+  std::vector<int> order;
+  sim.schedule_at(1_s, [&] { order.push_back(0); });
+  const std::uint64_t first = sim.claim_sequence(2);
+  sim.schedule_at(2_s, [&] { order.push_back(3); });
+  sim.schedule_claimed(1_s, first, [&sim, &order, first] {
+    order.push_back(1);
+    sim.schedule_claimed(2_s, first + 1, [&order] { order.push_back(2); });
+  });
+  sim.run();
+  return order;
+}
+
+TEST(Des, ClaimedSequenceKeepsTheOrderOfSchedulingWhole) {
+  // The second replayed event is scheduled after the plain t = 2 event
+  // yet runs ahead of it, as if both replayed events had been scheduled
+  // at the claim; the event scheduled before the claim still runs first.
+  const std::vector<int> expected = {0, 1, 2, 3};
+  EXPECT_EQ(claimed_replay_order<Simulator>(), expected);
+  EXPECT_EQ(claimed_replay_order<HeapSimulator>(), expected);
+  Simulator sim;
+  EXPECT_THROW(sim.schedule_claimed(1_s, 0, [] {}), PreconditionError);
+}
+
 // ---------------------------------------------------------------------------
 // Calendar-vs-heap oracle cross-check: both schedulers execute identical
 // schedules in identical order — the (time, seq) total order is the

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "hcep/control/controllers.hpp"
 #include "hcep/obs/obs.hpp"
 #include "hcep/obs/run_report.hpp"
 #include "hcep/queueing/md1.hpp"
@@ -398,6 +400,107 @@ TEST(Traffic, Validation) {
   EXPECT_THROW((void)make_diurnal(10.0, 1.5, Seconds{60.0}),
                PreconditionError);
   EXPECT_THROW((void)make_replay({}), PreconditionError);
+}
+
+// ------------------------------------------------------------ pinned bytes
+//
+// FNV-1a hashes of the serialized results of small fixed runs. The
+// other byte-identity tests compare two runs of the same build; these
+// compare against constants, so a refactor that moves any result byte
+// fails here. Update a constant only with a change that means to alter
+// results.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::vector<TrafficClass> two_classes() {
+  return {TrafficClass{wl("EP"), 3.0, SloTarget{}},
+          TrafficClass{wl("memcached"), 1.0, SloTarget{Seconds{0.05}, 0.95}}};
+}
+
+TEST(TrafficPinned, AdmissionAndRetriesOnOneShard) {
+  TrafficOptions options;
+  options.requests = 4000;
+  options.seed = 20160919;
+  options.admission.bucket_rate_per_s = 60.0;
+  options.admission.bucket_burst = 20.0;
+  options.admission.max_queue_depth = 6;
+  options.retry.max_attempts = 3;
+  options.retry.base_backoff = Seconds{0.01};
+  const auto r = simulate_traffic(model::make_a9_k10_cluster(4, 2),
+                                  two_classes(),
+                                  *make_bursty(40.0, 3_s, 250.0, 0.5_s),
+                                  options);
+  EXPECT_GT(r.shed_bucket, 0u);
+  EXPECT_GT(r.shed_queue, 0u);
+  EXPECT_GT(r.retries, 0u);
+  EXPECT_EQ(fnv1a(r.to_json().dump()), 0xdce89d0c612e72e6ULL);
+}
+
+TEST(TrafficPinned, ShardedRecordsJoinOnTheArrivalIndex) {
+  TrafficOptions options;
+  options.requests = 6000;
+  options.seed = 11;
+  options.shards = 3;
+  options.record_requests = true;
+  const auto r = simulate_traffic(model::make_a9_k10_cluster(4, 2),
+                                  two_classes(), *make_poisson(300.0),
+                                  options);
+  // The join key: one record per offered request, indices 0..offered-1.
+  ASSERT_EQ(r.requests.size(), r.offered);
+  for (std::size_t k = 0; k < r.requests.size(); ++k)
+    ASSERT_EQ(r.requests[k].index, k);
+  std::string bytes = r.to_json().dump();
+  for (const RequestRecord& rec : r.requests) {
+    bytes += ' ' + std::to_string(rec.cls) + ' ' +
+             std::to_string(rec.failed) + ' ' +
+             JsonValue::number(rec.sojourn.value()).dump();
+  }
+  EXPECT_EQ(fnv1a(bytes), 0x66a885d1c22ef7b3ULL);
+}
+
+TEST(TrafficPinned, FrozenControllerStreamed) {
+  TrafficOptions options;
+  options.requests = 4000;
+  options.seed = 20260809;
+  options.shards = 2;
+  options.control.controller = control::make_frozen();
+  options.control.period = Seconds{2.0};
+  options.control.record_power_trace = true;
+  options.stream.window = Seconds{5.0};
+  const auto r = simulate_traffic(model::make_a9_k10_cluster(4, 2),
+                                  two_classes(),
+                                  *make_bursty(40.0, 3_s, 250.0, 0.5_s),
+                                  options);
+  EXPECT_GT(r.control.ticks, 0u);
+  EXPECT_FALSE(r.timeline.windows.empty());
+  EXPECT_EQ(fnv1a(r.to_json().dump() + r.control.to_json().dump() +
+                  r.timeline.to_json().dump()),
+            0x7fd16f9316071c30ULL);
+}
+
+TEST(TrafficPinned, ShardedArrivalsRunAheadOfSameInstantTicks) {
+  // Arrivals every 10 ms against a 50 ms tick period land on the same
+  // instants as ticks, so this pins which of the two a shard runs first.
+  TrafficOptions options;
+  options.requests = 3000;
+  options.seed = 5;
+  options.shards = 2;
+  options.control.controller = control::make_power_gate();
+  options.control.period = Seconds{0.05};
+  options.control.wake_delay = Seconds{0.2};
+  const auto r = simulate_traffic(model::make_a9_k10_cluster(4, 2),
+                                  two_classes(), *make_deterministic(100.0),
+                                  options);
+  EXPECT_GT(r.control.sleeps, 0u);
+  EXPECT_EQ(fnv1a(r.to_json().dump() + r.control.to_json().dump()),
+            0xb34d3b1862e117f1ULL);
 }
 
 }  // namespace

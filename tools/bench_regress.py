@@ -7,11 +7,12 @@ file, and fails (exit 1) when any gated benchmark regresses by more than
 the threshold against the suite's checked-in baseline at the repository
 root. Suites: ``sweep`` (perf_enumeration + perf_pareto vs
 ``BENCH_sweep.json``, the default), ``traffic`` (perf_traffic vs
-``BENCH_traffic.json``), ``des`` (perf_des vs ``BENCH_des.json``),
-``control`` (perf_control vs ``BENCH_control.json``), ``stream``
-(perf_stream vs ``BENCH_stream.json``) and ``lint`` (the hcep_lint
-analyzer's own wall-clock vs ``BENCH_lint.json`` — not a
-google-benchmark binary; see below).
+``BENCH_traffic.json``), ``des`` (perf_des vs ``BENCH_des.json``) and
+``lint`` (the hcep_lint analyzer's own wall-clock vs
+``BENCH_lint.json`` — not a google-benchmark binary; see below). The
+control, streaming and federation overheads are ratios that
+``bench/hcep_bench`` reports (``control.overhead_ratio``,
+``obs.stream.overhead_ratio``, ``fed.single_site.overhead_ratio``).
 
 The ``lint`` suite times full-tree scans of the repository with the
 static analyzer: a cold scan (empty result cache — every file is
@@ -26,8 +27,8 @@ The gate compares ``items_per_second`` for serial benchmarks only:
 google-benchmark's CPU timer measures the main benchmark thread, so
 thread-pool variants under-report work and are recorded but never gated
 (the ``des`` suite records BM_ShardedTraffic/1..8 wall-clock scaling this
-way — on a single-core builder the shards serialize, so scaling is
-reported, not gated).
+way; ``bench/hcep_bench``'s ``sharded_scaling`` workload reports the
+shard speedup and efficiency).
 
 Suites may additionally declare ``ratio_gates``: within-run throughput
 ratios between a fast and a slow implementation measured minutes apart at
@@ -37,11 +38,10 @@ and survive machine-speed changes — a builder twice as slow fails both
 sides equally — so they are enforced in smoke runs too. A gate with
 ``min_ratio`` demands fast/slow stay ABOVE it (the fast side must keep
 its speedup); a gate with ``max_ratio`` demands it stay BELOW (the slow
-side is an instrumented variant whose overhead is bounded, e.g. the
-control suite's <= 5% tick-overhead gate for the frozen controller).
+side is an instrumented variant whose overhead is bounded).
 
 Usage:
-  tools/bench_regress.py [--suite sweep|traffic] [--build-dir build]
+  tools/bench_regress.py [--suite sweep|traffic|des|lint] [--build-dir build]
                          [--baseline BENCH_<suite>.json]
                          [--output build/BENCH_<suite>.json]
                          [--threshold 0.20] [--smoke] [--update-baseline]
@@ -127,80 +127,6 @@ SUITES = {
             "BM_ChurnCalendar/65536$|BM_ChurnLegacy/65536$|"
             "BM_ChurnBimodalCalendar/65536$|BM_ChurnBimodalLegacy/65536$|"
             "BM_EventQueueChurn/100000$|BM_CallbackInline$"
-        ),
-    },
-    "control": {
-        "binaries": ["perf_control"],
-        "baseline": "BENCH_control.json",
-        "gated": [
-            "BM_OpenLoopTraffic/1048576",
-            "BM_FrozenControlTraffic/1048576",
-            "BM_PowerGateTick/64",
-        ],
-        # The ISSUE's tick-overhead bound: the frozen (no-op) controller
-        # reproduces the open-loop run byte-identically, so open/frozen
-        # throughput is pure control-plane overhead. <= 5% at 1M requests
-        # (full runs); the 128k smoke pair gets slack for timer noise on
-        # a short sample.
-        "ratio_gates": [
-            {"fast": "BM_OpenLoopTraffic/1048576",
-             "slow": "BM_FrozenControlTraffic/1048576", "max_ratio": 1.05},
-            {"fast": "BM_OpenLoopTraffic/131072",
-             "slow": "BM_FrozenControlTraffic/131072", "max_ratio": 1.15},
-        ],
-        "smoke_filter": (
-            "BM_OpenLoopTraffic/131072$|BM_FrozenControlTraffic/131072$|"
-            "BM_PowerGateTick/64$"
-        ),
-    },
-    "stream": {
-        "binaries": ["perf_stream"],
-        "baseline": "BENCH_stream.json",
-        "gated": [
-            "BM_StreamOffTraffic/1048576",
-            "BM_StreamOnTraffic/1048576",
-            "BM_SketchInsert/1000",
-        ],
-        # The ISSUE's streaming-overhead bound: the collector is purely
-        # observational (off/on runs are byte-identical modulo the
-        # timeline itself), so off/on throughput is pure telemetry cost.
-        # <= 5% at 1M requests (full runs) is the authoritative gate;
-        # the 128k pair is a ~100 ms sample whose run-to-run cv is close
-        # to 10% on shared builders, so it only gets a sanity bound.
-        "ratio_gates": [
-            {"fast": "BM_StreamOffTraffic/1048576",
-             "slow": "BM_StreamOnTraffic/1048576", "max_ratio": 1.05},
-            {"fast": "BM_StreamOffTraffic/131072",
-             "slow": "BM_StreamOnTraffic/131072", "max_ratio": 1.30},
-        ],
-        "smoke_filter": (
-            "BM_StreamOffTraffic/131072$|BM_StreamOnTraffic/131072$|"
-            "BM_SketchInsert/1000$"
-        ),
-    },
-    "fed": {
-        "binaries": ["perf_fed"],
-        "baseline": "BENCH_fed.json",
-        "gated": [
-            "BM_OpenLoopTraffic/1048576",
-            "BM_FedSingleSite/1048576",
-            "BM_RouterDecision",
-        ],
-        # The ISSUE's federation-overhead bound: a single-site fleet run
-        # is the same demand through the same cluster plus the whole
-        # routing pipeline (generation, placement, replay, ledger merge),
-        # so open/fed throughput is pure federation cost. <= 5% at 1M
-        # requests (full runs); the 128k smoke pair gets slack for timer
-        # noise on a short sample.
-        "ratio_gates": [
-            {"fast": "BM_OpenLoopTraffic/1048576",
-             "slow": "BM_FedSingleSite/1048576", "max_ratio": 1.05},
-            {"fast": "BM_OpenLoopTraffic/131072",
-             "slow": "BM_FedSingleSite/131072", "max_ratio": 1.15},
-        ],
-        "smoke_filter": (
-            "BM_OpenLoopTraffic/131072$|BM_FedSingleSite/131072$|"
-            "BM_RouterDecision$"
         ),
     },
     "lint": {
