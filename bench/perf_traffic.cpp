@@ -109,8 +109,10 @@ void BM_SimulateTraffic(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
+// Wall-clock timed: the latency summaries at the end of each run go to
+// the global thread pool, which the main thread's CPU timer misses.
 BENCHMARK(BM_SimulateTraffic)->Arg(1 << 14)->Arg(1 << 17)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The gated configuration: >1M requests per iteration through the FULL
 /// admission/SLO path — token bucket, queue-depth shedding, retries with
@@ -139,7 +141,7 @@ void BM_AdmissionSloPath(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_AdmissionSloPath)->Arg(1 << 17)->Arg(1 << 20)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -81,6 +81,8 @@ struct TrafficOptions {
   std::size_t shards = 1;
   /// Run shards concurrently on the global thread pool (identical
   /// results either way; turn off to debug under a deterministic stack).
+  /// Governs shard execution only: the latency summaries at the end of
+  /// every run use the pool either way, with identical results.
   bool parallel_shards = true;
   /// Closed-loop control plane (hcep::control). Default-constructed =
   /// open loop: no controller, no ticks, the classic instruction stream.

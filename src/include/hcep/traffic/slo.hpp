@@ -35,7 +35,11 @@ struct LatencySummary {
   Seconds p99{};
   Seconds max{};
 
-  /// Exact percentiles of `samples_s` (seconds); sorts in place.
+  /// Exact percentiles of `samples_s` (seconds). Sorts the vector in
+  /// place, once (not at all when it is already ascending), then sums it
+  /// in that order and reads p50/p95/p99 from it with no copy. The bytes
+  /// depend only on the multiset of samples: a sorted sequence is unique
+  /// up to equal values, which are bit-equal unless one is -0.0.
   [[nodiscard]] static LatencySummary from_samples(
       std::vector<double>& samples_s);
 

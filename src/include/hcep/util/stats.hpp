@@ -38,6 +38,12 @@ class RunningStats {
 /// In-place variant for callers that can afford mutating their buffer.
 [[nodiscard]] double percentile_inplace(std::vector<double>& samples, double p);
 
+/// The rank interpolation behind both of the above, on samples already
+/// sorted ascending: no copy and no sort, so one sorted buffer serves
+/// any number of percentiles.
+[[nodiscard]] double percentile_sorted(std::span<const double> sorted,
+                                       double p);
+
 /// P-squared (P2) streaming quantile estimator (Jain & Chlamtac, 1985).
 /// Tracks one quantile with O(1) memory; the cluster simulator uses it for
 /// 95th-percentile response times over long runs.

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "hcep/config/operating_points.hpp"
@@ -13,6 +14,7 @@
 #include "hcep/des/sharded.hpp"
 #include "hcep/des/simulator.hpp"
 #include "hcep/obs/obs.hpp"
+#include "hcep/parallel/thread_pool.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/util/rng.hpp"
 #include "hcep/workload/node_ops.hpp"
@@ -210,6 +212,25 @@ void append(std::vector<T>& dst, std::vector<T>& src) {
     dst = std::move(src);
   else
     dst.insert(dst.end(), src.begin(), src.end());
+}
+
+/// Appends the k-way merge of every class's ascending `samples` vector
+/// to `out`, ascending; the last vector left is copied in one block.
+void merge_ascending(const std::vector<ClassSamples>& per_class,
+                     std::vector<double> ClassSamples::*samples,
+                     std::vector<double>& out) {
+  std::vector<std::span<const double>> heads;
+  for (const ClassSamples& cs : per_class)
+    if (!(cs.*samples).empty()) heads.emplace_back(cs.*samples);
+  while (heads.size() > 1) {
+    const auto m = std::min_element(
+        heads.begin(), heads.end(),
+        [](const auto& a, const auto& b) { return a.front() < b.front(); });
+    out.push_back(m->front());
+    *m = m->subspan(1);
+    if (m->empty()) heads.erase(m);
+  }
+  if (!heads.empty()) out.insert(out.end(), heads[0].begin(), heads[0].end());
 }
 
 /// One in-flight request attempt; retries carry the same first_arrival
@@ -561,10 +582,13 @@ class Engine final : public control::Actuator {
       fb.window_shed = window_shed_[c];
       fb.window_p99 = Seconds{0.0};
       if (!sj.empty()) {
-        std::sort(sj.begin(), sj.end());
+        // Nearest rank; the window is cleared after the tick, so a
+        // partial order is all it needs.
         const std::size_t idx = static_cast<std::size_t>(
             0.99 * static_cast<double>(sj.size() - 1) + 0.5);
-        fb.window_p99 = Seconds{sj[idx]};
+        const auto at = sj.begin() + static_cast<std::ptrdiff_t>(idx);
+        std::nth_element(sj.begin(), at, sj.end());
+        fb.window_p99 = Seconds{*at};
       }
     }
 
@@ -899,13 +923,23 @@ class Engine final : public control::Actuator {
       makespan_ = std::max(makespan_, sim_.now());
       --inflight_;
       if (options_.record_requests)
-        records_.push_back(RequestRecord{req.index, req.cls, 1,
-                                         sim_.now() - req.first_arrival});
+        record(RequestRecord{req.index, req.cls, 1,
+                             sim_.now() - req.first_arrival});
 #if HCEP_OBS
       if (o_ != nullptr) o_->metrics.add(failed_m_);
 #endif
       note_inflight();
     }
+  }
+
+  /// Files a terminal outcome at its slot in this engine's arrival
+  /// order (index / shards), so the records need no sort. A slot past the
+  /// end grows the vector within its request_budget reservation, and
+  /// pages are touched only as requests terminate.
+  void record(const RequestRecord& rec) {
+    const std::size_t slot = rec.index / shard_count_;
+    if (slot >= records_.size()) records_.resize(slot + 1);
+    records_[slot] = rec;
   }
 
   void finish(std::size_t node_index, Request req, Seconds wait) {
@@ -936,7 +970,7 @@ class Engine final : public control::Actuator {
     ++completed;
     ++per_class_[cls].completed;
     if (options_.record_requests)
-      records_.push_back(RequestRecord{req.index, req.cls, 0, sojourn});
+      record(RequestRecord{req.index, req.cls, 0, sojourn});
     if (classes_[cls].slo.enabled() && sojourn > classes_[cls].slo.latency)
       ++per_class_[cls].slo_violations;
     makespan_ = std::max(makespan_, sim_.now());
@@ -1235,13 +1269,21 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
   }
 
   if (options.record_requests) {
-    for (auto& e : engines) append(out.requests, e->records());
-    // Arrival indices are unique per request, so sorting by index is a
-    // total order — the record vector is identical for any shard count.
-    std::sort(out.requests.begin(), out.requests.end(),
-              [](const RequestRecord& a, const RequestRecord& b) {
-                return a.index < b.index;
-              });
+    // Each engine filed its records by slot, and shard s holds the
+    // arrival indices k * shards + s, so interleaving the shards orders
+    // the records by index for any shard count.
+    if (engines.size() == 1) {
+      out.requests = std::move(engines[0]->records());
+    } else {
+      std::size_t total = 0;
+      for (auto& e : engines) total += e->records().size();
+      out.requests.resize(total);
+      for (std::size_t s = 0; s < engines.size(); ++s) {
+        const std::vector<RequestRecord>& recs = engines[s]->records();
+        for (std::size_t k = 0; k < recs.size(); ++k)
+          out.requests[k * engines.size() + s] = recs[k];
+      }
+    }
   }
 
   Watts idle_floor{0.0};
@@ -1330,9 +1372,6 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     st.completed = cs.completed;
     st.failed = cs.failed;
     st.slo_violations = cs.slo_violations;
-    st.wait = LatencySummary::from_samples(cs.wait);
-    st.service = LatencySummary::from_samples(cs.service);
-    st.sojourn = LatencySummary::from_samples(cs.sojourn);
     if (cs.completed > 0 && out.completed > 0) {
       // Shared energy attributed by completion share, dynamic exactly.
       const Joules idle_share =
@@ -1344,16 +1383,36 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     out.classes.push_back(std::move(st));
   }
 
-  // The overall summaries are those of the union of the class samples:
-  // from_samples sorts before it sums, so the union's order never reaches
-  // the bytes, and a lone class's summary already is the union's.
+  // The class summaries: 3 x classes independent in-place sorts, run
+  // on the global pool (inline when this run already sits on a pool
+  // worker, as a fed site does). Each task owns one sample vector and
+  // one summary field, and none allocates.
+  parallel_for(
+      0, 3 * classes.size(),
+      [&](std::size_t i) {
+        ClassStats& st = out.classes[i / 3];
+        ClassSamples& cs = per_class[i / 3];
+        switch (i % 3) {
+          case 0: st.wait = LatencySummary::from_samples(cs.wait); break;
+          case 1: st.service = LatencySummary::from_samples(cs.service); break;
+          default: st.sojourn = LatencySummary::from_samples(cs.sojourn);
+        }
+      },
+      /*min_block=*/1);
+
+  // The overall summaries are those of the union of the class samples,
+  // merged from the now-sorted class vectors into one buffer. The merge
+  // is ascending, so from_samples skips its sort; and a sorted sequence
+  // is unique up to bit-equal values (no latency is -0.0), so the bytes
+  // are those of sorting the union. A lone class's summary already is
+  // the union's.
+  std::vector<double> all;
   const auto overall = [&](LatencySummary ClassStats::*summary,
                            std::vector<double> ClassSamples::*samples) {
     if (per_class.size() == 1) return out.classes[0].*summary;
-    std::vector<double> all;
+    all.clear();
     all.reserve(out.completed);
-    for (const ClassSamples& cs : per_class)
-      all.insert(all.end(), (cs.*samples).begin(), (cs.*samples).end());
+    merge_ascending(per_class, samples, all);
     return LatencySummary::from_samples(all);
   };
   out.wait = overall(&ClassStats::wait, &ClassSamples::wait);

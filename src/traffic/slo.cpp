@@ -10,13 +10,14 @@ LatencySummary LatencySummary::from_samples(std::vector<double>& samples_s) {
   LatencySummary out;
   out.count = samples_s.size();
   if (samples_s.empty()) return out;
-  std::sort(samples_s.begin(), samples_s.end());
+  if (!std::is_sorted(samples_s.begin(), samples_s.end()))
+    std::sort(samples_s.begin(), samples_s.end());
   double sum = 0.0;
   for (const double s : samples_s) sum += s;
   out.mean = Seconds{sum / static_cast<double>(samples_s.size())};
-  out.p50 = Seconds{percentile(samples_s, 50.0)};
-  out.p95 = Seconds{percentile(samples_s, 95.0)};
-  out.p99 = Seconds{percentile(samples_s, 99.0)};
+  out.p50 = Seconds{percentile_sorted(samples_s, 50.0)};
+  out.p95 = Seconds{percentile_sorted(samples_s, 95.0)};
+  out.p99 = Seconds{percentile_sorted(samples_s, 99.0)};
   out.max = Seconds{samples_s.back()};
   return out;
 }

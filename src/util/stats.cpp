@@ -65,15 +65,19 @@ double percentile(std::span<const double> samples, double p) {
 }
 
 double percentile_inplace(std::vector<double>& samples, double p) {
-  require(!samples.empty(), "percentile: no samples");
-  require(p >= 0.0 && p <= 100.0, "percentile: p out of [0, 100]");
   std::sort(samples.begin(), samples.end());
-  if (samples.size() == 1) return samples.front();
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  return percentile_sorted(samples, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  require(!sorted.empty(), "percentile: no samples");
+  require(p >= 0.0 && p <= 100.0, "percentile: p out of [0, 100]");
+  if (sorted.size() == 1) return sorted.front();
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return samples[lo] + frac * (samples[hi] - samples[lo]);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 P2Quantile::P2Quantile(double q) : q_(q) {

@@ -74,8 +74,27 @@ TEST(Percentile, SingleSample) {
 TEST(Percentile, Validation) {
   std::vector<double> empty;
   EXPECT_THROW((void)percentile(empty, 50.0), PreconditionError);
+  EXPECT_THROW((void)percentile_sorted(empty, 50.0), PreconditionError);
   std::vector<double> v{1.0};
   EXPECT_THROW((void)percentile(v, 101.0), PreconditionError);
+  EXPECT_THROW((void)percentile_sorted(v, 101.0), PreconditionError);
+  EXPECT_THROW((void)percentile_sorted(v, -0.5), PreconditionError);
+}
+
+TEST(Percentile, SortedInputNeedsNoSort) {
+  // percentile_sorted holds the one interpolation formula: on ascending
+  // input it must equal the sorting variants bit for bit.
+  Rng rng(29);
+  std::vector<double> v;
+  for (int i = 0; i < 1001; ++i) v.push_back(rng.exponential(1.0));
+  std::sort(v.begin(), v.end());
+  for (const double p : {0.0, 12.5, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(percentile_sorted(v, p), percentile(v, p)) << p;
+    std::vector<double> copy = v;
+    EXPECT_EQ(percentile_sorted(v, p), percentile_inplace(copy, p)) << p;
+  }
+  const std::vector<double> one{42.0};
+  EXPECT_EQ(percentile_sorted(one, 95.0), 42.0);
 }
 
 TEST(P2Quantile, ExactBelowFiveSamples) {

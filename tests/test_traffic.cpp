@@ -4,20 +4,25 @@
 // waiting/response statistics must match queueing::MD1's closed forms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hcep/control/controllers.hpp"
 #include "hcep/obs/obs.hpp"
 #include "hcep/obs/run_report.hpp"
+#include "hcep/parallel/thread_pool.hpp"
 #include "hcep/queueing/md1.hpp"
 #include "hcep/traffic/admission.hpp"
 #include "hcep/traffic/arrivals.hpp"
 #include "hcep/traffic/simulate.hpp"
 #include "hcep/util/error.hpp"
+#include "hcep/util/rng.hpp"
+#include "hcep/util/stats.hpp"
 #include "hcep/workload/catalog.hpp"
 
 namespace {
@@ -270,7 +275,98 @@ TEST(Traffic, MultiClassWeightsSplitTheStream) {
     EXPECT_GT(c.energy_per_request.value(), 0.0);
 }
 
+// ------------------------------------------------------- latency summaries
+
+/// The finalize as it was before from_samples sorted only once: copy,
+/// sort, sum in order, then percentile() (which copies and sorts again).
+LatencySummary sorted_copy_oracle(const std::vector<double>& samples) {
+  LatencySummary out;
+  out.count = samples.size();
+  if (samples.empty()) return out;
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  double sum = 0.0;
+  for (const double s : sorted) sum += s;
+  out.mean = Seconds{sum / static_cast<double>(sorted.size())};
+  out.p50 = Seconds{percentile(sorted, 50.0)};
+  out.p95 = Seconds{percentile(sorted, 95.0)};
+  out.p99 = Seconds{percentile(sorted, 99.0)};
+  out.max = Seconds{sorted.back()};
+  return out;
+}
+
+/// Exact equality of every field: the summaries feed the result bytes.
+void expect_identical(const LatencySummary& a, const LatencySummary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.mean.value(), b.mean.value());
+  EXPECT_EQ(a.p50.value(), b.p50.value());
+  EXPECT_EQ(a.p95.value(), b.p95.value());
+  EXPECT_EQ(a.p99.value(), b.p99.value());
+  EXPECT_EQ(a.max.value(), b.max.value());
+}
+
+TEST(LatencySummaryTest, FromSamplesMatchesTheSortedCopyOracle) {
+  Rng rng(41);
+  std::vector<double> random;
+  for (int i = 0; i < 10007; ++i) random.push_back(rng.exponential(50.0));
+  std::vector<double> ascending = random;
+  std::sort(ascending.begin(), ascending.end());
+  std::vector<double> descending(ascending.rbegin(), ascending.rend());
+  std::vector<double> mostly_zero(5000, 0.0);
+  for (std::size_t i = 0; i < mostly_zero.size(); i += 97)
+    mostly_zero[i] = rng.uniform01();
+  const std::vector<std::vector<double>> inputs = {
+      random,     ascending,         descending,
+      std::vector<double>(777, 0.125), mostly_zero,
+      {0.5},      {0.75, 0.25},      {}};
+  for (const std::vector<double>& in : inputs) {
+    SCOPED_TRACE(in.size());
+    std::vector<double> mine = in;
+    expect_identical(LatencySummary::from_samples(mine),
+                     sorted_copy_oracle(in));
+  }
+}
+
+std::vector<TrafficClass> three_classes() {
+  return {TrafficClass{wl("EP"), 3.0, SloTarget{}},
+          TrafficClass{wl("memcached"), 2.0, SloTarget{}},
+          TrafficClass{wl("blackscholes"), 1.0, SloTarget{}}};
+}
+
+TEST(Traffic, OverallSummaryIsTheClassUnion) {
+  // Three classes, so the overall summaries merge three sorted vectors.
+  TrafficOptions options;
+  options.requests = 6000;
+  options.seed = 13;
+  options.record_requests = true;
+  const auto r = simulate_traffic(model::make_a9_k10_cluster(4, 2),
+                                  three_classes(), *make_poisson(300.0),
+                                  options);
+  ASSERT_EQ(r.classes.size(), 3u);
+  std::vector<double> all;
+  std::vector<std::vector<double>> per_class(3);
+  for (const RequestRecord& rec : r.requests) {
+    if (rec.failed != 0) continue;
+    all.push_back(rec.sojourn.value());
+    per_class[rec.cls].push_back(rec.sojourn.value());
+  }
+  for (const std::vector<double>& c : per_class) ASSERT_FALSE(c.empty());
+  expect_identical(r.sojourn, LatencySummary::from_samples(all));
+  for (std::size_t c = 0; c < 3; ++c) {
+    SCOPED_TRACE(c);
+    expect_identical(r.classes[c].sojourn,
+                     LatencySummary::from_samples(per_class[c]));
+  }
+}
+
 // ------------------------------------------------------------ replay I/O
+
+/// One record per offered request, in arrival-index order.
+void expect_records_join(const TrafficResult& r) {
+  ASSERT_EQ(r.requests.size(), r.offered);
+  for (std::size_t k = 0; k < r.requests.size(); ++k)
+    EXPECT_EQ(r.requests[k].index, k);
+}
 
 TEST(Traffic, ReplayTraceDrivesTheRunAndExhausts) {
   const auto cluster = model::make_a9_k10_cluster(0, 1);
@@ -278,9 +374,11 @@ TEST(Traffic, ReplayTraceDrivesTheRunAndExhausts) {
       {Seconds{0.5}, Seconds{1.0}, Seconds{1.5}}, /*loop=*/false);
   TrafficOptions options;
   options.requests = 10;  // more than the trace holds
+  options.record_requests = true;
   const auto r = simulate_traffic(cluster, one_class(), *arrivals, options);
   EXPECT_EQ(r.offered, 3u);
   EXPECT_EQ(r.completed, 3u);
+  expect_records_join(r);
 }
 
 TEST(Traffic, CsvAndJsonlParsersRoundTrip) {
@@ -379,6 +477,52 @@ TEST(TrafficSharded, SingleShardOptionMatchesDefaultPath) {
   const auto b = simulate_traffic(cluster, one_class(), *make_poisson(400.0),
                                   explicit_one);
   EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+}
+
+TEST(TrafficSharded, ReplayTraceExhaustsAcrossShards) {
+  // The generator runs dry before options.requests: shard 0 replays
+  // arrivals 0 and 2, shard 1 arrival 1, and the records interleave.
+  const auto arrivals = make_replay(
+      {Seconds{0.5}, Seconds{1.0}, Seconds{1.5}}, /*loop=*/false);
+  TrafficOptions options;
+  options.requests = 10;
+  options.shards = 2;
+  options.record_requests = true;
+  const auto r = simulate_traffic(model::make_a9_k10_cluster(1, 1),
+                                  one_class(), *arrivals, options);
+  EXPECT_EQ(r.offered, 3u);
+  EXPECT_EQ(r.completed, 3u);
+  expect_records_join(r);
+}
+
+TEST(Traffic, PooledSummariesMatchFromAnyThread) {
+  // The class summaries run on the global pool. The same run must give
+  // the same document from the main thread, from inside a pool task
+  // (where the summaries run inline, as under a fed site) and from two
+  // threads submitting to the pool at once.
+  const auto run = [] {
+    TrafficOptions options;
+    options.requests = 4000;
+    options.seed = 17;
+    return simulate_traffic(model::make_a9_k10_cluster(4, 2),
+                            three_classes(), *make_poisson(300.0), options)
+        .to_json()
+        .dump();
+  };
+  const std::string expected = run();
+  std::vector<std::string> nested(4);
+  parallel_for(
+      0, nested.size(), [&](std::size_t i) { nested[i] = run(); },
+      /*min_block=*/1);
+  for (const std::string& doc : nested) EXPECT_EQ(doc, expected);
+  std::string a;
+  std::string b;
+  std::thread ta([&] { a = run(); });
+  std::thread tb([&] { b = run(); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, expected);
+  EXPECT_EQ(b, expected);
 }
 
 TEST(Traffic, Validation) {

@@ -23,12 +23,15 @@ the mtime+hash cache). Both report files/second as
 if the cache stops hitting, the ratio collapses to 1 and the gate
 fails even on a machine where absolute speed drifted.
 
-The gate compares ``items_per_second`` for serial benchmarks only:
-google-benchmark's CPU timer measures the main benchmark thread, so
-thread-pool variants under-report work and are recorded but never gated
-(the ``des`` suite records BM_ShardedTraffic/1..8 wall-clock scaling this
-way; ``bench/hcep_bench``'s ``sharded_scaling`` workload reports the
-shard speedup and efficiency).
+The gate compares ``items_per_second`` for serial benchmarks and for
+wall-clock ones (``UseRealTime()``, named ``.../real_time``):
+google-benchmark's default CPU timer measures the main benchmark thread,
+so CPU-timed thread-pool variants under-report work and are recorded but
+never gated (the ``des`` suite records BM_ShardedTraffic/1..8 wall-clock
+scaling this way; ``bench/hcep_bench``'s ``sharded_scaling`` workload
+reports the shard speedup and efficiency). The traffic suite's
+simulate_traffic rows are wall-clock because each run hands its latency
+summaries to the global thread pool.
 
 Suites may additionally declare ``ratio_gates``: within-run throughput
 ratios between a fast and a slow implementation measured minutes apart at
@@ -62,9 +65,10 @@ import subprocess
 import sys
 import time
 
-# Per-suite configuration. ``gated`` lists serial benchmarks with stable
-# CPU-time throughput; everything else is recorded for reference but not
-# gated. ``smoke_filter`` keeps the ctest pass to seconds.
+# Per-suite configuration. ``gated`` lists benchmarks with stable
+# throughput (serial CPU time, or wall-clock ``/real_time``); everything
+# else is recorded for reference but not gated. ``smoke_filter`` keeps
+# the ctest pass to seconds.
 SUITES = {
     "sweep": {
         "binaries": ["perf_enumeration", "perf_pareto"],
@@ -87,15 +91,16 @@ SUITES = {
         "gated": [
             "BM_PoissonArrivals",
             "BM_TokenBucketAcquire",
-            "BM_SimulateTraffic/16384",
-            "BM_AdmissionSloPath/131072",
-            "BM_AdmissionSloPath/1048576",
+            "BM_SimulateTraffic/16384/real_time",
+            "BM_AdmissionSloPath/131072/real_time",
+            "BM_AdmissionSloPath/1048576/real_time",
         ],
         # The smoke pass swaps the >1M-request gate for the 128k size:
         # the path is identical, the wall time is ctest-friendly.
         "smoke_filter": (
             "BM_PoissonArrivals$|BM_TokenBucketAcquire$|"
-            "BM_SimulateTraffic/16384$|BM_AdmissionSloPath/131072$"
+            "BM_SimulateTraffic/16384/real_time$|"
+            "BM_AdmissionSloPath/131072/real_time$"
         ),
     },
     "des": {
