@@ -64,8 +64,14 @@ double PiecewiseCurve::at_phase(double u) const {
     const double vb = knots_.front().second;
     return va + (vb - va) * (u - a) / (b - a);
   }
-  std::size_t i = 0;
-  while (i + 1 < knots_.size() && knots_[i + 1].first.value() <= u) ++i;
+  // The segment starts at the last knot at or before u; knot times are
+  // strictly increasing, so a binary search finds it.
+  const auto after = std::upper_bound(
+      knots_.begin(), knots_.end(), u,
+      [](double v, const std::pair<Seconds, double>& knot) {
+        return v < knot.first.value();
+      });
+  const auto i = static_cast<std::size_t>(after - knots_.begin()) - 1;
   if (i + 1 == knots_.size()) {
     // Wrap segment to the right: last -> (first + period).
     const double a = knots_.back().first.value();

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <functional>
+#include <span>
 #include <utility>
 
 #include "hcep/obs/obs.hpp"
@@ -10,6 +11,7 @@
 #include "hcep/parallel/thread_pool.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/util/rng.hpp"
+#include "hcep/util/stats.hpp"
 
 namespace hcep::fed {
 
@@ -17,37 +19,44 @@ namespace {
 
 constexpr double kJoulesPerKwh = 3.6e6;
 
-/// One generated-and-merged fleet arrival before routing.
-struct FleetArrival {
-  Seconds t{};
-  std::uint32_t origin = 0;
-  std::uint32_t cls = 0;
-};
+/// Runs f(i) for i in [0, n): as tasks on the global pool when `pooled`,
+/// else in index order on the calling thread.
+void for_each_index(std::size_t n, bool pooled,
+                    const std::function<void(std::size_t)>& f) {
+  if (pooled) {
+    parallel_for(0, n, f, 1);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) f(i);
+  }
+}
 
 /// Per-origin generation: clone the site's process, drive it with the
 /// origin's split of the fleet seed, draw the arrival instant first and
 /// the class coin second (a fixed draw order is part of the determinism
-/// contract). Streams are then merged by time with origin index as the
-/// tie-break (concatenation order + stable sort).
-std::vector<FleetArrival> generate_arrivals(
+/// contract). Each origin owns its clone and its seed split, so its
+/// stream does not depend on the thread that builds it.
+std::vector<std::vector<traffic::Arrival>> generate_arrivals(
     const std::vector<Site>& sites,
     const std::vector<traffic::TrafficClass>& classes,
-    const FleetOptions& options) {
+    const FleetOptions& options, bool pooled) {
   double total_weight = 0.0;
   for (const auto& c : classes) {
     require(c.weight > 0.0, "simulate_fleet: class weights must be positive");
     total_weight += c.weight;
   }
-  std::vector<FleetArrival> merged;
-  merged.reserve(sites.size() * static_cast<std::size_t>(
-                                    options.requests_per_site));
-  for (std::size_t o = 0; o < sites.size(); ++o) {
+  std::vector<std::vector<traffic::Arrival>> streams(sites.size());
+  for_each_index(sites.size(), pooled, [&](std::size_t o) {
     auto gen = sites[o].arrivals->clone();
     Rng rng = Rng(options.seed).split(static_cast<unsigned>(o));
+    std::vector<traffic::Arrival>& stream = streams[o];
+    stream.reserve(options.requests_per_site);
     Seconds t{0.0};
     for (std::uint64_t k = 0; k < options.requests_per_site; ++k) {
-      t = gen->next(t, rng);
-      if (!std::isfinite(t.value())) break;  // exhausted replay trace
+      const Seconds next = gen->next(t, rng);
+      if (!std::isfinite(next.value())) break;  // exhausted replay trace
+      require(next >= t, "simulate_fleet: an origin's arrival process "
+                         "returned an instant before the previous one");
+      t = next;
       double coin = rng.uniform01() * total_weight;
       std::uint32_t cls = 0;
       for (std::size_t c = 0; c + 1 < classes.size(); ++c) {
@@ -55,18 +64,91 @@ std::vector<FleetArrival> generate_arrivals(
         if (coin < 0.0) break;
         ++cls;
       }
-      merged.push_back(
-          FleetArrival{t, static_cast<std::uint32_t>(o), cls});
+      stream.push_back(traffic::Arrival{t, cls});
     }
+  });
+  return streams;
+}
+
+/// Phase A's output: every site's landings, sorted by landing time,
+/// with each landing's WAN transit in a column beside them (the join
+/// key between a site's request records and the end-to-end ledgers),
+/// plus the routes matrix.
+struct Routed {
+  std::vector<std::vector<traffic::Arrival>> landings;
+  std::vector<std::vector<Seconds>> transit;
+  std::vector<std::vector<std::uint64_t>> routes;
+  std::uint64_t offered = 0;
+  std::uint64_t cross_site = 0;
+};
+
+/// Merges the origin streams into the router and deals the placements
+/// to their sites. The router and its decision log live only here, so
+/// they are gone before the site simulations start.
+Routed route_fleet(std::vector<std::vector<traffic::Arrival>> streams,
+                   const std::vector<Site>& sites,
+                   const hw::InterSiteNetwork& network,
+                   const std::vector<traffic::TrafficClass>& classes,
+                   const RouterOptions& options, bool pooled) {
+  const std::size_t n = sites.size();
+  GlobalRouter router(sites, network, classes, options);
+  Routed out;
+  out.landings.resize(n);
+  out.transit.resize(n);
+  out.routes.assign(n, std::vector<std::uint64_t>(n, 0));
+  for (const auto& stream : streams) out.offered += stream.size();
+  if (n == 1) {  // every placement is local, every transit zero
+    out.landings[0] = std::move(streams[0]);
+    out.routes[0][0] = out.offered;
+    return out;
   }
-  const auto by_time = [](const FleetArrival& a, const FleetArrival& b) {
-    return a.t < b.t;
-  };
-  // Single-origin streams (and degenerate multi-origin ones) are already
-  // in time order; the check is one linear pass vs an n log n sort.
-  if (!std::is_sorted(merged.begin(), merged.end(), by_time))
-    std::stable_sort(merged.begin(), merged.end(), by_time);
-  return merged;
+  router.reserve(out.offered);
+  // k-way merge by time; ties go to the lower origin. Each origin
+  // stream is nondecreasing, so this is the stable sort of their
+  // concatenation.
+  std::vector<std::size_t> head(n, 0);
+  for (std::uint64_t k = 0; k < out.offered; ++k) {
+    std::size_t o = n;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (head[j] == streams[j].size()) continue;
+      if (o == n || streams[j][head[j]].t < streams[o][head[o]].t) o = j;
+    }
+    const traffic::Arrival& a = streams[o][head[o]++];
+    const std::uint32_t target = router.route(o, a.cls, a.t).target;
+    ++out.routes[o][target];
+    if (o != target) ++out.cross_site;
+  }
+  streams = {};  // routed: release the origin streams
+
+  // One task per site deals itself its placements from the decision
+  // log, in fleet order, each landing at t + transit, and sorts them by
+  // landing time, since differing transits can reorder landings. The
+  // sort is stable: landings at the same instant keep fleet order.
+  for_each_index(n, pooled, [&](std::size_t s) {
+    struct Landing {
+      traffic::Arrival arrival;
+      Seconds transit;
+    };
+    std::uint64_t count = 0;
+    for (std::size_t o = 0; o < n; ++o) count += out.routes[o][s];
+    std::vector<Landing> landings;
+    landings.reserve(count);
+    for (const Assignment& a : router.assignments())
+      if (a.target == s)
+        landings.push_back(
+            Landing{traffic::Arrival{a.t + a.transit, a.cls}, a.transit});
+    std::stable_sort(landings.begin(), landings.end(),
+                     [](const Landing& a, const Landing& b) {
+                       return a.arrival.t < b.arrival.t;
+                     });
+    out.landings[s].reserve(count);
+    out.transit[s].reserve(count);
+    for (const Landing& l : landings) {
+      out.landings[s].push_back(l.arrival);
+      out.transit[s].push_back(l.transit);
+    }
+  });
+  return out;
 }
 
 }  // namespace
@@ -163,63 +245,28 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
 
   const std::size_t n = sites.size();
   // A single-site federation is exactly a cluster run: every placement
-  // is local, every transit zero. The fast path skips the per-request
-  // routing log, the request records and the end-to-end join — the
-  // ledgers fold directly from the site's per-class stats instead.
+  // is local, every transit zero. The fast path skips routing, the
+  // request records and the end-to-end join — the origin stream is the
+  // site's stream, and the ledgers fold directly from the site's
+  // per-class stats.
   const bool solo = n == 1;
+  // One switch for every per-origin and per-site phase: the tasks run on
+  // the pool or serially, with byte-identical results either way.
+  const bool pooled = options.shards > 1 && n > 1;
 
-  // Phase A: generate regional streams, merge, route globally.
-  const std::vector<FleetArrival> merged =
-      generate_arrivals(sites, classes, options);
-  GlobalRouter router(sites, network, classes, options.router);
-  std::vector<std::vector<traffic::Arrival>> assigned(n);
-  std::vector<std::vector<std::uint64_t>> fleet_index(n);
-  if (solo) {
-    assigned[0].reserve(merged.size());
-    for (const FleetArrival& a : merged)
-      assigned[0].push_back(traffic::Arrival{a.t, a.cls});
-  } else {
-    router.reserve(merged.size());
-    for (std::size_t s = 0; s < n; ++s) {
-      assigned[s].reserve(merged.size() / n + merged.size() / 8 + 64);
-      fleet_index[s].reserve(merged.size() / n + merged.size() / 8 + 64);
-    }
-    for (const FleetArrival& a : merged) {
-      const Assignment asg = router.route(a.origin, a.cls, a.t);
-      assigned[asg.target].push_back(
-          traffic::Arrival{asg.t + asg.transit, asg.cls});
-      fleet_index[asg.target].push_back(asg.index);
-    }
-  }
-  // Differing transits can reorder landings at a target; sort each
-  // site's stream by landing time, keeping fleet order on ties, and
-  // carry the fleet-index join column through the same permutation.
-  for (std::size_t s = 0; s < n; ++s) {
-    std::vector<traffic::Arrival>& stream = assigned[s];
-    if (std::is_sorted(stream.begin(), stream.end(),
-                       [](const traffic::Arrival& a,
-                          const traffic::Arrival& b) { return a.t < b.t; }))
-      continue;
-    std::vector<std::size_t> order(stream.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&stream](std::size_t a, std::size_t b) {
-                       return stream[a].t < stream[b].t;
-                     });
-    std::vector<traffic::Arrival> sorted_stream(stream.size());
-    std::vector<std::uint64_t> sorted_index(stream.size());
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      sorted_stream[k] = stream[order[k]];
-      sorted_index[k] = fleet_index[s][order[k]];
-    }
-    stream = std::move(sorted_stream);
-    fleet_index[s] = std::move(sorted_index);
-  }
+  // Phase A: generate the origin streams, merge them into the router,
+  // deal each site its landings.
+  Routed routed =
+      route_fleet(generate_arrivals(sites, classes, options, pooled), sites,
+                  network, classes, options.router, pooled);
 
-  // Phase B: replay each site's share on its own cluster. Each run is a
-  // deterministic single-shard simulation; options.shards only decides
-  // whether the independent runs execute serially or on the pool.
+  // Phase B: one task per site replays the site's landings on its own
+  // cluster, a deterministic single-shard simulation, then builds and
+  // sorts the site's per-class end-to-end runs (transit + sojourn of
+  // each completed request).
   std::vector<traffic::TrafficResult> results(n);
+  std::vector<std::vector<std::vector<double>>> e2e_runs(
+      n, std::vector<std::vector<double>>(classes.size()));
 #if HCEP_OBS
   std::vector<obs::MetricsSnapshot> snapshots(n);
 #endif
@@ -239,36 +286,33 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
     obs::Observer local;
     obs::ScopedObserver install(local);
 #endif
-    results[s] =
-        traffic::simulate_traffic(sites[s].cluster, classes, assigned[s],
-                                  site_options);
+    results[s] = traffic::simulate_traffic(
+        sites[s].cluster, classes, routed.landings[s], site_options);
+    routed.landings[s] = {};
 #if HCEP_OBS
     snapshots[s] = local.metrics.snapshot();
 #endif
+    if (solo) return;
+    std::vector<std::vector<double>>& runs = e2e_runs[s];
+    for (std::size_t c = 0; c < classes.size(); ++c)
+      runs[c].reserve(results[s].classes[c].completed);
+    for (const traffic::RequestRecord& rec : results[s].requests)
+      if (rec.failed == 0)
+        runs[rec.cls].push_back(
+            (routed.transit[s][rec.index] + rec.sojourn).value());
+    for (std::vector<double>& run : runs) std::sort(run.begin(), run.end());
   };
-  if (options.shards > 1 && n > 1) {
-    parallel_for(0, n, run_site, 1);
-  } else {
-    for (std::size_t s = 0; s < n; ++s) run_site(s);
-  }
+  for_each_index(n, pooled, run_site);
 
   // Phase C: fold the per-site ledgers into the fleet report.
   FleetReport report;
   report.router_policy = route_policy_name(options.router.policy);
   report.seed = options.seed;
-  report.offered = static_cast<std::uint64_t>(merged.size());
+  report.offered = routed.offered;
+  report.cross_site = routed.cross_site;
+  report.routes = std::move(routed.routes);
   for (std::size_t s = 0; s < n; ++s)
     report.horizon = std::max(report.horizon, results[s].makespan);
-
-  report.routes.assign(n, std::vector<std::uint64_t>(n, 0));
-  if (solo) {
-    report.routes[0][0] = static_cast<std::uint64_t>(merged.size());
-  } else {
-    for (const Assignment& a : router.assignments()) {
-      ++report.routes[a.origin][a.target];
-      if (a.origin != a.target) ++report.cross_site;
-    }
-  }
 
   const bool streamed = options.stream.enabled();
   report.sites.reserve(n);
@@ -351,14 +395,15 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
     }
   }
 
-  // Per-class end-to-end ledgers: join each site's terminal request
-  // records back to the routing log (record index -> fleet index ->
-  // assignment) and judge SLOs on transit + sojourn. Sites are folded
-  // in index order, records in arrival order — a fixed fold order, so
-  // the ledger is deterministic.
+  // Per-class end-to-end ledgers: each site's terminal request records,
+  // joined to the site's transit column, judged on transit + sojourn.
+  // Sites are folded in index order, records in arrival order — a fixed
+  // fold order, so the transit sums are deterministic. Each class's
+  // summary is taken over the ascending merge of its sorted site runs,
+  // so from_samples skips its sort; a sorted sequence is unique up to
+  // bit-equal values (no sample is -0.0: transit and sojourn are both
+  // >= 0), so the bytes are those of sorting the joined samples.
   report.classes.resize(classes.size());
-  std::vector<std::vector<double>> e2e_samples(classes.size());
-  std::vector<Seconds> transit_sum(classes.size());
   for (std::size_t c = 0; c < classes.size(); ++c) {
     FleetClassLedger& ledger = report.classes[c];
     ledger.name = report.sites.front().result.classes.size() > c
@@ -378,31 +423,35 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
       ledger.e2e = stats[c].sojourn;
     }
   } else {
+    std::vector<Seconds> transit_sum(classes.size());
     for (std::size_t s = 0; s < n; ++s) {
-      const auto& records = report.sites[s].result.requests;
-      for (const traffic::RequestRecord& rec : records) {
-        const Assignment& asg =
-            router.assignments()[fleet_index[s][rec.index]];
+      for (const traffic::RequestRecord& rec :
+           report.sites[s].result.requests) {
         FleetClassLedger& ledger = report.classes[rec.cls];
         if (rec.failed != 0) {
           ++ledger.failed;
           continue;
         }
         ++ledger.completed;
-        const Seconds e2e = asg.transit + rec.sojourn;
-        transit_sum[rec.cls] += asg.transit;
-        e2e_samples[rec.cls].push_back(e2e.value());
-        if (ledger.slo.enabled() && e2e > ledger.slo.latency)
+        const Seconds tr = routed.transit[s][rec.index];
+        transit_sum[rec.cls] += tr;
+        if (ledger.slo.enabled() && tr + rec.sojourn > ledger.slo.latency)
           ++ledger.slo_violations;
       }
     }
+    std::vector<std::span<const double>> runs(n);
+    std::vector<double> e2e;
     for (std::size_t c = 0; c < classes.size(); ++c) {
       FleetClassLedger& ledger = report.classes[c];
       if (ledger.completed > 0)
         ledger.mean_transit =
             Seconds{transit_sum[c].value() /
                     static_cast<double>(ledger.completed)};
-      ledger.e2e = traffic::LatencySummary::from_samples(e2e_samples[c]);
+      for (std::size_t s = 0; s < n; ++s) runs[s] = e2e_runs[s][c];
+      e2e.clear();
+      e2e.reserve(ledger.completed);
+      merge_ascending(runs, e2e);
+      ledger.e2e = traffic::LatencySummary::from_samples(e2e);
     }
   }
 

@@ -151,60 +151,51 @@ std::size_t GlobalRouter::pick(std::size_t origin, std::uint32_t cls,
       break;
   }
 
-  // kSloHybrid. Gate 1: SLO transit feasibility — a remote site only
-  // qualifies while the WAN detour leaves most of the class's latency
-  // budget for actual service. The origin always qualifies (transit 0).
+  // kSloHybrid: three gates, folded into one pass in site order.
+  // Gate 1, SLO transit feasibility: a remote site only qualifies while
+  // the WAN detour leaves most of the class's latency budget for actual
+  // service. The origin always qualifies (transit 0).
+  // Gate 2, load headroom: a qualifying site is feasible while its
+  // sliding window stays under headroom * capacity. load() prunes the
+  // site's window, so it runs for exactly the qualifying sites.
+  // Gate 3: among feasible sites, the lexicographic argmin of (price at
+  // the landing instant, transit, index) — spend the slack the SLO
+  // affords on the cheapest energy available right now.
+  // If no qualifying site is feasible, the least-loaded one (relative
+  // to its own capacity) wins rather than violating the transit gate;
+  // if none qualifies (degenerate slack), the request stays local.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const traffic::SloTarget& slo = (*classes_)[cls].slo;
-  std::vector<std::size_t> allowed;
-  std::vector<Seconds> allowed_transit;
-  allowed.reserve(n);
-  allowed_transit.reserve(n);
+  std::size_t least_loaded = kNone;
+  double least_load = kInf;
+  std::size_t best = kNone;
+  double best_price = kInf;
+  Seconds best_transit{kInf};
   for (std::size_t j = 0; j < n; ++j) {
     const Seconds tr = transit_[origin * n + j];
     if (slo.enabled() &&
         tr.value() > options_.transit_slack * slo.latency.value())
       continue;
-    allowed.push_back(j);
-    allowed_transit.push_back(tr);
-  }
-  if (allowed.empty()) return origin;  // degenerate slack: stay local
-
-  // Gate 2: load headroom — admit the placement only where the sliding
-  // window stays under headroom * capacity. If every allowed site is
-  // saturated, fall back to the least-loaded one (relative to its own
-  // capacity) rather than violating the transit gate.
-  std::vector<std::size_t> feasible;
-  feasible.reserve(allowed.size());
-  std::size_t least_loaded = allowed.front();
-  double least_load = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < allowed.size(); ++k) {
-    const std::size_t j = allowed[k];
     const double in_window = load(j, t) + work_[j][cls];
     const double utilization = in_window / options_.load_window.value();
-    if (utilization <= options_.headroom) feasible.push_back(j);
+    if (least_loaded == kNone) least_loaded = j;
     if (utilization < least_load) {
       least_load = utilization;
       least_loaded = j;
     }
-  }
-  if (feasible.empty()) return least_loaded;
-
-  // Gate 3: among feasible sites, lexicographic argmin of (price at the
-  // landing instant, transit, index) — spend the slack the SLO affords
-  // on the cheapest energy available right now.
-  std::size_t best = feasible.front();
-  double best_price = std::numeric_limits<double>::infinity();
-  Seconds best_transit{std::numeric_limits<double>::infinity()};
-  for (const std::size_t j : feasible) {
-    const Seconds tr = transit_[origin * n + j];
-    const double price = (*sites_)[j].price.at(t + tr);
-    if (price < best_price || (price == best_price && tr < best_transit)) {
-      best = j;
-      best_price = price;
-      best_transit = tr;
+    if (utilization <= options_.headroom) {
+      if (best == kNone) best = j;
+      const double price = (*sites_)[j].price.at(t + tr);
+      if (price < best_price || (price == best_price && tr < best_transit)) {
+        best = j;
+        best_price = price;
+        best_transit = tr;
+      }
     }
   }
-  return best;
+  if (least_loaded == kNone) return origin;
+  return best == kNone ? least_loaded : best;
 }
 
 }  // namespace hcep::fed

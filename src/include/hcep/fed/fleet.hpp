@@ -2,22 +2,26 @@
 //
 // simulate_fleet is the federation counterpart of
 // traffic::simulate_traffic. It generates each site's regional arrival
-// stream from a per-origin split of one fleet seed, merges the streams
-// in time order, routes every request through a GlobalRouter, replays
-// each site's assigned share through the assigned-arrival
-// simulate_traffic overload (one event loop per site — the fleet tier
-// owns all cross-site parallelism), and folds the per-site results into
-// one FleetReport: fleet totals, a routes matrix, per-class END-TO-END
-// latency ledgers that include WAN transit, time-of-use energy cost and
-// carbon ledgers integrated against each site's curves, and the merged
-// obs metrics snapshot.
+// stream from a per-origin split of one fleet seed (one task per
+// origin) and merges the origin streams in time order straight into a
+// GlobalRouter. One task per site takes its placements from the
+// router's decision log and sorts them by landing time; then one task
+// per site replays them through the assigned-arrival simulate_traffic
+// overload (one event loop per site — the fleet tier owns all
+// cross-site parallelism) and sorts the site's end-to-end latencies. A
+// serial fold turns the per-site results into one FleetReport: fleet
+// totals, a routes matrix, per-class END-TO-END latency ledgers that
+// include WAN transit, time-of-use energy cost and carbon ledgers
+// integrated against each site's curves, and the merged obs metrics
+// snapshot.
 //
 // Determinism contract: for a fixed (scenario, FleetOptions::seed) the
 // FleetReport JSON is byte-identical across runs and across
-// FleetOptions::shards values — shards only controls how many site
-// simulations run concurrently; each site's simulation is an
-// independent deterministic single-shard run either way
-// (tests/test_fed.cpp and the `hcep selftest fed` smoke pin this).
+// FleetOptions::shards values — shards only controls whether the
+// per-origin and per-site tasks run on the thread pool; every origin
+// stream and every site simulation is an independent deterministic
+// computation either way (tests/test_fed.cpp and the `hcep selftest
+// fed` smoke pin this).
 #pragma once
 
 #include <cstdint>
@@ -39,9 +43,11 @@ struct FleetOptions {
   /// demand volume, before routing moves any of it).
   std::uint64_t requests_per_site = 10000;
   std::uint64_t seed = 1;
-  /// Site simulations to run concurrently (thread-pool fan-out).
-  /// Results are byte-identical for every value — unlike
-  /// TrafficOptions::shards this knob never partitions an event loop.
+  /// Above 1 (with more than one site), origin generation and the site
+  /// runs fan out onto the thread pool, one task per origin or site; 1
+  /// runs every phase serially. Results are byte-identical for every
+  /// value — unlike TrafficOptions::shards this knob never partitions
+  /// an event loop.
   std::size_t shards = 1;
   RouterOptions router{};
   /// Per-site dispatch/admission/retry, shared across the fleet (the

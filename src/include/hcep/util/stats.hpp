@@ -44,6 +44,12 @@ class RunningStats {
 [[nodiscard]] double percentile_sorted(std::span<const double> sorted,
                                        double p);
 
+/// Appends the k-way merge of the ascending `runs` to `out`, ascending.
+/// Ties take the value from the lower-indexed run; empty runs are
+/// skipped, and the last run left is copied in one block.
+void merge_ascending(std::span<const std::span<const double>> runs,
+                     std::vector<double>& out);
+
 /// P-squared (P2) streaming quantile estimator (Jain & Chlamtac, 1985).
 /// Tracks one quantile with O(1) memory; the cluster simulator uses it for
 /// 95th-percentile response times over long runs.

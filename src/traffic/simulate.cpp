@@ -17,6 +17,7 @@
 #include "hcep/parallel/thread_pool.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/util/rng.hpp"
+#include "hcep/util/stats.hpp"
 #include "hcep/workload/node_ops.hpp"
 
 namespace hcep::traffic {
@@ -212,25 +213,6 @@ void append(std::vector<T>& dst, std::vector<T>& src) {
     dst = std::move(src);
   else
     dst.insert(dst.end(), src.begin(), src.end());
-}
-
-/// Appends the k-way merge of every class's ascending `samples` vector
-/// to `out`, ascending; the last vector left is copied in one block.
-void merge_ascending(const std::vector<ClassSamples>& per_class,
-                     std::vector<double> ClassSamples::*samples,
-                     std::vector<double>& out) {
-  std::vector<std::span<const double>> heads;
-  for (const ClassSamples& cs : per_class)
-    if (!(cs.*samples).empty()) heads.emplace_back(cs.*samples);
-  while (heads.size() > 1) {
-    const auto m = std::min_element(
-        heads.begin(), heads.end(),
-        [](const auto& a, const auto& b) { return a.front() < b.front(); });
-    out.push_back(m->front());
-    *m = m->subspan(1);
-    if (m->empty()) heads.erase(m);
-  }
-  if (!heads.empty()) out.insert(out.end(), heads[0].begin(), heads[0].end());
 }
 
 /// One in-flight request attempt; retries carry the same first_arrival
@@ -1407,12 +1389,16 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
   // are those of sorting the union. A lone class's summary already is
   // the union's.
   std::vector<double> all;
+  std::vector<std::span<const double>> runs;
   const auto overall = [&](LatencySummary ClassStats::*summary,
                            std::vector<double> ClassSamples::*samples) {
     if (per_class.size() == 1) return out.classes[0].*summary;
+    runs.resize(per_class.size());
+    for (std::size_t c = 0; c < per_class.size(); ++c)
+      runs[c] = per_class[c].*samples;
     all.clear();
     all.reserve(out.completed);
-    merge_ascending(per_class, samples, all);
+    merge_ascending(runs, all);
     return LatencySummary::from_samples(all);
   };
   out.wait = overall(&ClassStats::wait, &ClassSamples::wait);

@@ -80,6 +80,23 @@ double percentile_sorted(std::span<const double> sorted, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
+void merge_ascending(std::span<const std::span<const double>> runs,
+                     std::vector<double>& out) {
+  std::vector<std::span<const double>> heads;
+  heads.reserve(runs.size());
+  for (const std::span<const double> run : runs)
+    if (!run.empty()) heads.push_back(run);
+  while (heads.size() > 1) {
+    const auto m = std::min_element(
+        heads.begin(), heads.end(),
+        [](const auto& a, const auto& b) { return a.front() < b.front(); });
+    out.push_back(m->front());
+    *m = m->subspan(1);
+    if (m->empty()) heads.erase(m);
+  }
+  if (!heads.empty()) out.insert(out.end(), heads[0].begin(), heads[0].end());
+}
+
 P2Quantile::P2Quantile(double q) : q_(q) {
   require(q > 0.0 && q < 1.0, "P2Quantile: q must be in (0, 1)");
 }

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,6 +104,58 @@ TEST(Curves, RejectsMalformedKnots) {
                PreconditionError);
   EXPECT_THROW(PiecewiseCurve(Seconds{10.0}, {{Seconds{1.0}, -0.5}}),
                PreconditionError);
+}
+
+// PiecewiseCurve::at finds its segment by binary search. The oracle
+// finds it by a linear scan and interpolates with the same arithmetic,
+// so the two agree exactly (==), not approximately.
+double linear_scan_at(const PiecewiseCurve& c, double t) {
+  const auto& k = c.knots();
+  const double p = c.period().value();
+  const double u = std::fmod(t, p);
+  const auto lerp = [u](double a, double va, double b, double vb) {
+    return va + (vb - va) * (u - a) / (b - a);
+  };
+  if (k.size() == 1) return k.front().second;
+  if (u < k.front().first.value())
+    return lerp(k.back().first.value() - p, k.back().second,
+                k.front().first.value(), k.front().second);
+  std::size_t i = 0;
+  while (i + 1 < k.size() && k[i + 1].first.value() <= u) ++i;
+  if (i + 1 == k.size())
+    return lerp(k.back().first.value(), k.back().second,
+                k.front().first.value() + p, k.front().second);
+  return lerp(k[i].first.value(), k[i].second, k[i + 1].first.value(),
+              k[i + 1].second);
+}
+
+TEST(Curves, AtMatchesALinearScanOracle) {
+  // Irregular knots with the first one after 0, so both wrap segments
+  // (before the first knot, after the last) are nonempty.
+  const PiecewiseCurve c(Seconds{100.0}, {{Seconds{3.0}, 0.40},
+                                          {Seconds{4.5}, 0.10},
+                                          {Seconds{20.0}, 0.75},
+                                          {Seconds{21.0}, 0.75},
+                                          {Seconds{57.25}, 0.05},
+                                          {Seconds{90.0}, 0.30}});
+  std::vector<double> phases = {0.0, 1.5, 2.999, 95.0, 99.999};
+  const auto& k = c.knots();
+  for (std::size_t i = 0; i < k.size(); ++i) {
+    const double a = k[i].first.value();
+    phases.push_back(a);
+    const double b = i + 1 < k.size() ? k[i + 1].first.value() : 100.0;
+    for (const double f : {0.25, 0.5, 0.999}) phases.push_back(a + f * (b - a));
+  }
+  for (const double cycles : {0.0, 1.0, 2.0, 7.0})
+    for (const double u : phases) {
+      const double t = u + cycles * 100.0;
+      EXPECT_EQ(c.at(Seconds{t}), linear_scan_at(c, t)) << "t = " << t;
+    }
+  const auto diurnal = make_diurnal_curve(0.10, 0.8, Seconds{86400.0},
+                                          Seconds{43200.0}, 9, 0.05);
+  for (double t = 0.0; t < 4.0 * 86400.0; t += 977.0)
+    EXPECT_EQ(diurnal.at(Seconds{t}), linear_scan_at(diurnal, t))
+        << "t = " << t;
 }
 
 // ------------------------------------------------------------ network
@@ -378,6 +432,61 @@ TEST(GlobalRouter, CheapestEnergyChasesTheTariffTrough) {
   EXPECT_EQ(greener.route(0, 0, Seconds{0.0}).target, 2u);
 }
 
+TEST(GlobalRouter, HybridFallsBackToTheLeastLoadedSiteOverHeadroom) {
+  // A 1 ms WAN passes the transit gate everywhere, and a headroom below
+  // any single placement's load puts every site over it. Neither the
+  // cheapest site (2) nor the origin (1) wins: the least-loaded site
+  // does, the lowest index among equals.
+  RouterFixture fx(Seconds{0.001});
+  fx.sites[2].price = PiecewiseCurve::flat(0.01);
+  RouterOptions hybrid;
+  hybrid.policy = RoutePolicy::kSloHybrid;
+  hybrid.headroom = 1e-9;
+  GlobalRouter router(fx.sites, fx.network, fx.classes, hybrid);
+  for (int k = 0; k < 6; ++k)
+    EXPECT_EQ(router.route(1, 0, Seconds{0.001 * k}).target,
+              static_cast<std::uint32_t>(k % 3))
+        << "placement " << k;
+}
+
+TEST(GlobalRouter, HybridBreaksPriceTiesOnTransitThenIndex) {
+  // The origin (0) is dearest; sites 1 and 2 share the cheap price, so
+  // the lower transit decides, and on equal transit the lower index.
+  RouterFixture fx;
+  fx.sites[0].price = PiecewiseCurve::flat(0.30);
+  RouterOptions hybrid;
+  hybrid.policy = RoutePolicy::kSloHybrid;
+  hw::InterSiteNetwork closer_two(3);
+  closer_two.set_directed_link(0, 1, {Seconds{0.010}, BytesPerSecond{0.0}});
+  closer_two.set_directed_link(0, 2, {Seconds{0.005}, BytesPerSecond{0.0}});
+  GlobalRouter by_transit(fx.sites, closer_two, fx.classes, hybrid);
+  EXPECT_EQ(by_transit.route(0, 0, Seconds{0.0}).target, 2u);
+
+  hw::InterSiteNetwork equal(3);
+  equal.set_directed_link(0, 1, {Seconds{0.005}, BytesPerSecond{0.0}});
+  equal.set_directed_link(0, 2, {Seconds{0.005}, BytesPerSecond{0.0}});
+  GlobalRouter by_index(fx.sites, equal, fx.classes, hybrid);
+  EXPECT_EQ(by_index.route(0, 0, Seconds{0.0}).target, 1u);
+}
+
+TEST(GlobalRouter, HybridStaysAtTheOriginWhenTransitExcludesEveryRemote) {
+  // 40 ms > 0.25 x the 80 ms SLO: no remote site qualifies. The origin
+  // is the dearest site and over headroom, and still takes the request.
+  RouterFixture fx;
+  fx.sites[1].price = PiecewiseCurve::flat(0.80);
+  fx.sites[0].price = PiecewiseCurve::flat(0.01);
+  fx.sites[2].price = PiecewiseCurve::flat(0.01);
+  RouterOptions hybrid;
+  hybrid.policy = RoutePolicy::kSloHybrid;
+  hybrid.headroom = 1e-9;
+  GlobalRouter router(fx.sites, fx.network, fx.classes, hybrid);
+  for (int k = 0; k < 4; ++k) {
+    const Assignment a = router.route(1, 0, Seconds{0.01 * k});
+    EXPECT_EQ(a.target, 1u);
+    EXPECT_EQ(a.transit.value(), 0.0);
+  }
+}
+
 TEST(GlobalRouter, ParsePolicyRoundTripsAndRejectsUnknown) {
   for (const RoutePolicy p :
        {RoutePolicy::kNearest, RoutePolicy::kRoundRobin, RoutePolicy::kPinned,
@@ -595,6 +704,183 @@ TEST(Fleet, SingleSiteFleetIsLocalOnly) {
     EXPECT_DOUBLE_EQ(c.mean_transit.value(), 0.0);
 }
 
+/// An arrival process that breaks ArrivalProcess::next's contract: its
+/// fourth instant lies before its third.
+class BackInTime final : public traffic::ArrivalProcess {
+ public:
+  Seconds next(Seconds now, Rng&) override {
+    return ++calls_ == 4 ? now - Seconds{0.5} : now + Seconds{1.0};
+  }
+  double mean_rate_per_s() const override { return 1.0; }
+  std::string name() const override { return "back-in-time"; }
+  std::unique_ptr<traffic::ArrivalProcess> clone() const override {
+    return std::make_unique<BackInTime>();
+  }
+
+ private:
+  int calls_ = 0;
+};
+
+TEST(Fleet, GeneratorGoingBackInTimeThrowsSerialAndPooled) {
+  FleetScenario scenario(50);
+  scenario.sites[1].arrivals = std::make_shared<BackInTime>();
+  // Shards 1 generates the origins in order on this thread; shards 3
+  // generates them as pool tasks, and parallel_for rethrows the task's
+  // error here.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    FleetOptions o = scenario.options;
+    o.shards = shards;
+    try {
+      (void)simulate_fleet(scenario.sites, scenario.network,
+                           scenario.classes, o);
+      ADD_FAILURE() << "no PreconditionError at shards " << shards;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("before the previous one"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// An origin with no demand at all: its stream is exhausted from the
+/// start.
+class NoArrivals final : public traffic::ArrivalProcess {
+ public:
+  Seconds next(Seconds, Rng&) override {
+    return Seconds{std::numeric_limits<double>::infinity()};
+  }
+  double mean_rate_per_s() const override { return 0.0; }
+  std::string name() const override { return "none"; }
+  std::unique_ptr<traffic::ArrivalProcess> clone() const override {
+    return std::make_unique<NoArrivals>();
+  }
+};
+
+/// Ledger conservation of one fleet report: the routes matrix sums to
+/// offered and its off-diagonal to cross_site, its columns are the
+/// sites' routed counts, and the site and class ledgers sum to the
+/// fleet totals.
+void expect_conserved(const FleetReport& r, std::size_t n) {
+  ASSERT_EQ(r.routes.size(), n);
+  ASSERT_EQ(r.sites.size(), n);
+  std::uint64_t routed = 0, off_diagonal = 0;
+  for (std::size_t o = 0; o < n; ++o) {
+    ASSERT_EQ(r.routes[o].size(), n);
+    for (std::size_t t = 0; t < n; ++t) {
+      routed += r.routes[o][t];
+      if (o != t) off_diagonal += r.routes[o][t];
+    }
+  }
+  EXPECT_EQ(routed, r.offered);
+  EXPECT_EQ(off_diagonal, r.cross_site);
+  std::uint64_t site_routed = 0, site_completed = 0, site_failed = 0;
+  for (std::size_t t = 0; t < n; ++t) {
+    std::uint64_t column = 0;
+    for (std::size_t o = 0; o < n; ++o) column += r.routes[o][t];
+    EXPECT_EQ(column, r.sites[t].routed) << "site " << t;
+    EXPECT_EQ(r.sites[t].local, r.routes[t][t]) << "site " << t;
+    site_routed += r.sites[t].routed;
+    site_completed += r.sites[t].result.completed;
+    site_failed += r.sites[t].result.failed;
+  }
+  EXPECT_EQ(site_routed, r.offered);
+  EXPECT_EQ(site_completed, r.completed);
+  EXPECT_EQ(site_failed, r.failed);
+  EXPECT_EQ(r.completed + r.failed, r.offered);
+  std::uint64_t class_completed = 0, class_failed = 0;
+  for (const FleetClassLedger& c : r.classes) {
+    class_completed += c.completed;
+    class_failed += c.failed;
+    EXPECT_EQ(c.e2e.count, c.completed) << c.name;
+    EXPECT_LE(c.slo_violations, c.completed) << c.name;
+  }
+  EXPECT_EQ(class_completed, r.completed);
+  EXPECT_EQ(class_failed, r.failed);
+}
+
+TEST(Fleet, RandomizedOptionsConserveLedgersOrFailCleanly) {
+  Rng rng(20261017);
+  const auto pick = [&rng](std::uint64_t n) { return rng.uniform_int(n); };
+  int conserved = 0, rejected = 0;
+  for (int iter = 0; iter < 48; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    const std::size_t n = 1 + pick(4);
+    const auto policy = static_cast<RoutePolicy>(iter % 6);
+    try {
+      std::vector<traffic::TrafficClass> classes = {
+          {wl("memcached"), 0.7, traffic::SloTarget{Seconds{0.05}, 0.95}},
+          {wl("EP"), 0.3, traffic::SloTarget{}}};  // no SLO
+      if (pick(3) == 0) classes.pop_back();
+      std::vector<Site> sites;
+      for (std::size_t s = 0; s < n; ++s) {
+        Site site;
+        site.name = "s" + std::to_string(s);
+        site.cluster = model::make_a9_k10_cluster(
+            static_cast<unsigned>(pick(3)), 1 + static_cast<unsigned>(pick(2)));
+        site.price = make_diurnal_curve(0.1, 0.5, Seconds{60.0},
+                                        Seconds{10.0 * s}, 3 + s);
+        site.carbon = PiecewiseCurve::flat(300.0 + 50.0 * s);
+        switch (pick(6)) {
+          case 0: site.arrivals = traffic::make_deterministic(40.0); break;
+          case 1:
+            site.arrivals = traffic::make_diurnal(60.0, 0.8, Seconds{60.0},
+                                                  Seconds{20.0 * s});
+            break;
+          case 2:
+            site.arrivals =
+                traffic::make_bursty(20.0, Seconds{1.0}, 200.0, Seconds{0.2});
+            break;
+          case 3: {
+            // Empty on some iterations: make_replay rejects that.
+            std::vector<Seconds> trace;
+            for (std::uint64_t k = 0, len = pick(4) * 5; k < len; ++k)
+              trace.push_back(Seconds{0.05 * static_cast<double>(k)});
+            site.arrivals = traffic::make_replay(std::move(trace));
+            break;
+          }
+          case 4: site.arrivals = std::make_shared<NoArrivals>(); break;
+          default: site.arrivals = traffic::make_poisson(50.0);
+        }
+        sites.push_back(std::move(site));
+      }
+      const hw::InterSiteNetwork network = hw::InterSiteNetwork::uniform(
+          n, Seconds{0.01 * static_cast<double>(pick(4))},
+          BytesPerSecond{0.0});
+      FleetOptions options;
+      options.requests_per_site = 1 + pick(120);
+      options.seed = 1 + pick(1000);
+      // Above the site count on most iterations.
+      options.shards = 1 + pick(n + 3);
+      options.router.policy = policy;
+      options.router.pinned_site = pick(n);
+      options.router.headroom = 0.2 + 0.2 * static_cast<double>(pick(4));
+      if (pick(2) == 0) options.admission.max_queue_depth = 1 + pick(3);
+      if (pick(2) == 0) {
+        options.retry.max_attempts = 2;
+        options.retry.base_backoff = Seconds{0.01};
+      }
+      if (pick(2) == 0) options.stream.window = Seconds{0.5};
+      const FleetReport r =
+          simulate_fleet(sites, network, classes, options);
+      expect_conserved(r, n);
+      if (policy == RoutePolicy::kPinned) {
+        for (std::size_t t = 0; t < n; ++t) {
+          if (t != options.router.pinned_site) {
+            EXPECT_EQ(r.sites[t].routed, 0u) << "site " << t;
+          }
+        }
+      }
+      ++conserved;
+    } catch (const PreconditionError&) {
+      ++rejected;
+    }
+  }
+  // Both outcomes occur: empty replay traces are rejected, everything
+  // else runs.
+  EXPECT_GT(conserved, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 TEST(Fleet, ValidatesScenario) {
   FleetScenario scenario(100);
   FleetOptions o = scenario.options;
@@ -614,6 +900,124 @@ TEST(Fleet, ValidatesScenario) {
   EXPECT_THROW((void)simulate_fleet(scenario.sites, scenario.network,
                                     scenario.classes, o),
                PreconditionError);
+}
+
+// ------------------------------------------------------- pinned bytes
+//
+// FNV-1a hashes of FleetReport::to_json() for small fixed fleets. The
+// other byte-identity tests compare two runs of the same build; these
+// compare against constants, so a change to the fleet tier that moves
+// any result byte fails here. Update a constant only with a change that
+// means to alter results.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(FleetPinned, KeystoneHybridStreamedOnOneAndThreeShards) {
+  const FleetScenario scenario(600);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    FleetOptions o = scenario.options;
+    o.shards = shards;
+    const FleetReport r = simulate_fleet(scenario.sites, scenario.network,
+                                         scenario.classes, o);
+    EXPECT_GT(r.cross_site, 0u);
+    EXPECT_FALSE(r.cost_windows.empty());
+    EXPECT_EQ(fnv1a(r.to_json().dump()), 0x57b692c0614f6bc6ULL)
+        << "shards " << shards;
+  }
+}
+
+TEST(FleetPinned, LatticeTiesWithQueueSheddingAndRetries) {
+  // Every origin emits the same lattice, so the origins tie at every
+  // instant; the WAN latency is one lattice step, so a remote request
+  // lands at a target at the instant a local one arrives there.
+  const double rate = 40.0;
+  std::vector<Site> sites;
+  for (std::size_t s = 0; s < 3; ++s) {
+    Site site;
+    site.name = "lattice" + std::to_string(s);
+    site.cluster = model::make_a9_k10_cluster(2, 1);
+    site.arrivals = traffic::make_deterministic(rate);
+    site.price = PiecewiseCurve::flat(0.10 + 0.01 * static_cast<double>(s));
+    sites.push_back(std::move(site));
+  }
+  const auto network = hw::InterSiteNetwork::uniform(
+      3, Seconds{1.0 / rate}, BytesPerSecond{0.0});
+  const std::vector<traffic::TrafficClass> classes = {
+      {wl("EP"), 3.0, traffic::SloTarget{Seconds{0.5}, 0.95}},
+      {wl("memcached"), 1.0, traffic::SloTarget{Seconds{0.05}, 0.95}}};
+  FleetOptions o;
+  o.requests_per_site = 800;
+  o.seed = 41;
+  o.router.policy = RoutePolicy::kSloHybrid;
+  o.router.headroom = 0.5;
+  o.router.load_window = Seconds{1.0};
+  o.admission.max_queue_depth = 2;
+  o.retry.max_attempts = 2;
+  o.retry.base_backoff = Seconds{0.02};
+  const FleetReport r = simulate_fleet(sites, network, classes, o);
+  EXPECT_GT(r.cross_site, 0u);
+  EXPECT_GT(r.failed, 0u);
+  EXPECT_EQ(fnv1a(r.to_json().dump()), 0x4ac340061294baf9ULL);
+}
+
+TEST(FleetPinned, CheapestEnergyWithAShortReplayOrigin) {
+  // Four sites; origin 2 replays a 40-instant trace without looping, so
+  // the origin streams have unequal lengths.
+  const Seconds period{120.0};
+  std::vector<Site> sites;
+  for (std::size_t s = 0; s < 4; ++s) {
+    Site site;
+    site.name = "region" + std::to_string(s);
+    site.cluster =
+        model::make_a9_k10_cluster(2, 1 + static_cast<unsigned>(s % 2));
+    site.arrivals = traffic::make_diurnal(
+        30.0, 0.7, period,
+        Seconds{period.value() * static_cast<double>(s) / 4.0});
+    site.price = make_diurnal_curve(0.10, 0.8, period,
+                                    Seconds{30.0 * static_cast<double>(s)},
+                                    /*seed=*/300 + s, /*jitter=*/0.05);
+    site.carbon = make_diurnal_curve(400.0, 0.5, period,
+                                     Seconds{30.0 * static_cast<double>(s)},
+                                     /*seed=*/400 + s, /*jitter=*/0.05);
+    sites.push_back(std::move(site));
+  }
+  std::vector<Seconds> trace;
+  for (int k = 0; k < 40; ++k) trace.push_back(Seconds{0.37 * k});
+  sites[2].arrivals = traffic::make_replay(std::move(trace));
+  const auto network = hw::InterSiteNetwork::uniform(4, Seconds{0.02},
+                                                     BytesPerSecond{1.0e6});
+  const std::vector<traffic::TrafficClass> classes = {
+      {wl("x264"), 1.0, traffic::SloTarget{Seconds{30.0}, 0.95}},
+      {wl("memcached"), 2.0, traffic::SloTarget{Seconds{0.05}, 0.95}}};
+  FleetOptions o;
+  o.requests_per_site = 700;
+  o.seed = 7;
+  o.shards = 2;
+  o.router.policy = RoutePolicy::kCheapestEnergy;
+  o.router.request_payload = Bytes{4096.0};
+  const FleetReport r = simulate_fleet(sites, network, classes, o);
+  EXPECT_EQ(r.offered, 3u * 700u + 40u);
+  EXPECT_GT(r.cross_site, 0u);
+  EXPECT_EQ(fnv1a(r.to_json().dump()), 0x685b7d570609b635ULL);
+}
+
+TEST(FleetPinned, SingleSiteFleet) {
+  const FleetScenario scenario(900);
+  const std::vector<Site> one = {scenario.sites[1]};
+  FleetOptions o = scenario.options;
+  o.router.policy = RoutePolicy::kNearest;
+  o.admission.max_queue_depth = 3;
+  const FleetReport r =
+      simulate_fleet(one, hw::InterSiteNetwork(1), scenario.classes, o);
+  EXPECT_EQ(r.offered, 900u);
+  EXPECT_EQ(fnv1a(r.to_json().dump()), 0xca62e12438e94c00ULL);
 }
 
 }  // namespace
