@@ -10,9 +10,31 @@
 
 #include "bench_common.hpp"
 #include "hcep/cluster/dispatch.hpp"
+#include "hcep/traffic/arrivals.hpp"
+#include "hcep/traffic/simulate.hpp"
+
+namespace {
+
+using namespace hcep;
+
+/// `requests` Poisson arrivals at `u` of the cluster's capacity under the
+/// class mix, dispatched by `policy`.
+traffic::TrafficResult dispatch(
+    const model::ClusterSpec& cluster,
+    const std::vector<traffic::TrafficClass>& classes,
+    cluster::DispatchPolicy policy, double u, std::uint64_t requests) {
+  traffic::TrafficOptions opts;
+  opts.policy = policy;
+  opts.requests = requests;
+  opts.seed = 71;
+  const auto arrivals = traffic::make_poisson(
+      u * traffic::cluster_capacity_per_s(cluster, classes));
+  return traffic::simulate_traffic(cluster, classes, *arrivals, opts);
+}
+
+}  // namespace
 
 int main() {
-  using namespace hcep;
   bench::banner("Ablation: dispatch policies on 8 A9 + 2 K10",
                 "Section I's 'dynamic adaptation' complement");
 
@@ -25,21 +47,17 @@ int main() {
       TextTable table({"policy", "p95 [ms]", "mean [ms]", "J/job",
                        "A9 jobs", "K10 jobs"});
       for (const auto policy : cluster::all_dispatch_policies()) {
-        cluster::DispatchOptions opts;
-        opts.policy = policy;
-        opts.utilization = u;
-        opts.jobs = 3000;
-        const auto r = cluster::simulate_dispatch(cluster, w, opts);
+        const auto r = dispatch(cluster, {{w, 1.0, {}}}, policy, u, 3000);
         std::uint64_t a9_jobs = 0, k10_jobs = 0;
         for (const auto& n : r.nodes) {
           if (n.node_name == "A9") a9_jobs = n.jobs_served;
           if (n.node_name == "K10") k10_jobs = n.jobs_served;
         }
         table.add_row({cluster::to_string(policy),
-                       fmt(r.p95_response.value() * 1e3, 1),
-                       fmt(r.mean_response.value() * 1e3, 1),
-                       fmt(r.energy_per_job.value(), 2), std::to_string(a9_jobs),
-                       std::to_string(k10_jobs)});
+                       fmt(r.sojourn.p95.value() * 1e3, 1),
+                       fmt(r.sojourn.mean.value() * 1e3, 1),
+                       fmt(r.energy_per_request.value(), 2),
+                       std::to_string(a9_jobs), std::to_string(k10_jobs)});
       }
       std::cout << table;
     }
@@ -48,22 +66,18 @@ int main() {
   // account for the job's program, not just the node.
   std::cout << "\n[mixed stream: 75% EP + 25% x264 @ 60% utilization]\n";
   {
-    std::vector<cluster::MixedStream> streams{
-        {bench::study().workload("EP"), 3.0},
-        {bench::study().workload("x264"), 1.0}};
+    const std::vector<traffic::TrafficClass> classes{
+        {bench::study().workload("EP"), 3.0, {}},
+        {bench::study().workload("x264"), 1.0, {}}};
     TextTable table({"policy", "overall p95 [s]", "EP p95 [s]",
                      "x264 p95 [s]", "J/job"});
     for (const auto policy : cluster::all_dispatch_policies()) {
-      cluster::DispatchOptions opts;
-      opts.policy = policy;
-      opts.utilization = 0.6;
-      opts.jobs = 4000;
-      const auto r = cluster::simulate_mixed_dispatch(cluster, streams, opts);
+      const auto r = dispatch(cluster, classes, policy, 0.6, 4000);
       table.add_row({cluster::to_string(policy),
-                     fmt(r.overall.p95_response.value(), 3),
-                     fmt(r.per_program[0].p95_response.value(), 3),
-                     fmt(r.per_program[1].p95_response.value(), 3),
-                     fmt(r.overall.energy_per_job.value(), 2)});
+                     fmt(r.sojourn.p95.value(), 3),
+                     fmt(r.classes[0].sojourn.p95.value(), 3),
+                     fmt(r.classes[1].sojourn.p95.value(), 3),
+                     fmt(r.energy_per_request.value(), 2)});
     }
     std::cout << table;
   }

@@ -1,8 +1,7 @@
 // Library performance: the extension simulators (scale-out phase-level,
-// dispatch policies, trace replay) and the M/G/1 analytics.
+// trace replay) and the M/G/1 analytics.
 #include <benchmark/benchmark.h>
 
-#include "hcep/cluster/dispatch.hpp"
 #include "hcep/cluster/scaleout_sim.hpp"
 #include "hcep/cluster/trace.hpp"
 #include "hcep/queueing/mg1.hpp"
@@ -31,25 +30,6 @@ void BM_ScaleoutSim(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ScaleoutSim)->Arg(500)->Arg(5000)->Unit(benchmark::kMillisecond);
-
-void BM_DispatchPolicies(benchmark::State& state) {
-  const auto cluster_spec = model::make_a9_k10_cluster(8, 2);
-  const auto policy = static_cast<cluster::DispatchPolicy>(state.range(0));
-  for (auto _ : state) {
-    cluster::DispatchOptions opts;
-    opts.policy = policy;
-    opts.utilization = 0.6;
-    opts.jobs = 2000;
-    const auto r = cluster::simulate_dispatch(cluster_spec, ep(), opts);
-    benchmark::DoNotOptimize(r.jobs);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          2000);
-}
-BENCHMARK(BM_DispatchPolicies)
-    ->Arg(static_cast<int>(cluster::DispatchPolicy::kRoundRobin))
-    ->Arg(static_cast<int>(cluster::DispatchPolicy::kFastestFirst))
-    ->Unit(benchmark::kMillisecond);
 
 void BM_TraceReplay(benchmark::State& state) {
   const model::TimeEnergyModel m(model::make_a9_k10_cluster(4, 2), ep());

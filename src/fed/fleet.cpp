@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "hcep/obs/obs.hpp"
-#include "hcep/obs/run_report.hpp"
 #include "hcep/parallel/thread_pool.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/util/rng.hpp"
@@ -267,9 +266,6 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
   std::vector<traffic::TrafficResult> results(n);
   std::vector<std::vector<std::vector<double>>> e2e_runs(
       n, std::vector<std::vector<double>>(classes.size()));
-#if HCEP_OBS
-  std::vector<obs::MetricsSnapshot> snapshots(n);
-#endif
   const auto run_site = [&](std::size_t s) {
     traffic::TrafficOptions site_options;
     site_options.policy = options.policy;
@@ -282,16 +278,12 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
     site_options.control = sites[s].control;
     site_options.stream = options.stream;
     site_options.record_requests = !solo;  // solo folds from class stats
-#if HCEP_OBS
-    obs::Observer local;
-    obs::ScopedObserver install(local);
-#endif
+    // Site runs report nowhere: not into a caller's observer, and not
+    // into the global fallback from a pool thread.
+    const obs::ScopedObserver unobserved(nullptr);
     results[s] = traffic::simulate_traffic(
         sites[s].cluster, classes, routed.landings[s], site_options);
     routed.landings[s] = {};
-#if HCEP_OBS
-    snapshots[s] = local.metrics.snapshot();
-#endif
     if (solo) return;
     std::vector<std::vector<double>>& runs = e2e_runs[s];
     for (std::size_t c = 0; c < classes.size(); ++c)
@@ -455,9 +447,6 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
     }
   }
 
-#if HCEP_OBS
-  report.metrics = obs::merge_snapshots(snapshots);
-#endif
   return report;
 }
 

@@ -2,11 +2,12 @@
 //
 // The paper's model splits every job across ALL nodes (scale-out with
 // rate-matched shares) and defers "dynamic adaptation of the workload" to
-// complementary work. This module explores that complement: jobs are
-// atomic and a front-end dispatcher assigns each to ONE node, so node
-// choice matters on a heterogeneous floor. Five policies are simulated
-// on the DES with full power accounting, exposing the time-energy
-// consequences of heterogeneity-blind vs -aware dispatch.
+// complementary work. This module holds that complement's policies: jobs
+// are atomic and a front-end dispatcher assigns each to ONE node, so node
+// choice matters on a heterogeneous floor. It defines the five policies
+// and their chooser; traffic::simulate_traffic runs them on the DES with
+// full power accounting, exposing the time-energy consequences of
+// heterogeneity-blind vs -aware dispatch.
 #pragma once
 
 #include <algorithm>
@@ -15,11 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "hcep/model/cluster_spec.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/util/rng.hpp"
 #include "hcep/util/units.hpp"
-#include "hcep/workload/demand.hpp"
 
 namespace hcep::cluster {
 
@@ -34,14 +33,14 @@ enum class DispatchPolicy {
 [[nodiscard]] std::string to_string(DispatchPolicy policy);
 [[nodiscard]] std::vector<DispatchPolicy> all_dispatch_policies();
 
-/// The node choice behind every dispatcher (simulate_dispatch below and
-/// traffic::simulate_traffic): the node `policy` picks for a job of
-/// `program` arriving at `now`, among the nodes `eligible(i)` admits.
-/// `Node` exposes `queued`, `free_at` and per-program `service` and
-/// `dynamic` tables. `eligible_count` (>= 1) is how many nodes pass the
-/// filter — kRandom draws uniformly among them and is the only policy
-/// that draws from `rng` — and `rr_cursor` carries the round-robin
-/// position between calls. The first eligible node wins ties.
+/// The node choice behind traffic::simulate_traffic's dispatcher: the
+/// node `policy` picks for a job of `program` arriving at `now`, among
+/// the nodes `eligible(i)` admits. `Node` exposes `queued`, `free_at`
+/// and per-program `service` and `dynamic` tables. `eligible_count`
+/// (>= 1) is how many nodes pass the filter — kRandom draws uniformly
+/// among them and is the only policy that draws from `rng` — and
+/// `rr_cursor` carries the round-robin position between calls. The
+/// first eligible node wins ties.
 template <class Node, class Eligible>
 [[nodiscard]] std::size_t choose_node(DispatchPolicy policy,
                                       const std::vector<Node>& nodes,
@@ -110,66 +109,11 @@ template <class Node, class Eligible>
   throw PreconditionError("choose_node: no eligible node");
 }
 
-struct DispatchOptions {
-  DispatchPolicy policy = DispatchPolicy::kRoundRobin;
-  /// Offered load as a fraction of the cluster's aggregate capacity.
-  double utilization = 0.5;
-  std::uint64_t jobs = 2000;
-  std::uint64_t seed = 71;
-};
-
+/// One node type's share of a run's work (TrafficResult::nodes).
 struct NodeLoad {
   std::string node_name;
   std::uint64_t jobs_served = 0;
   double busy_fraction = 0.0;  ///< busy time / makespan
 };
-
-struct DispatchResult {
-  std::uint64_t jobs = 0;
-  Seconds makespan{};
-  Seconds mean_response{};
-  Seconds p95_response{};
-  Joules energy{};          ///< exact: idle floor + per-job dynamic energy
-  Watts average_power{};
-  Joules energy_per_job{};      ///< per completed job
-  std::vector<NodeLoad> nodes;
-};
-
-/// Simulates `options.jobs` Poisson arrivals dispatched over the
-/// cluster's individual nodes. Every node runs at its group's (c, f);
-/// a job executes on exactly one node in workload.units_per_job units.
-/// Deterministic for a fixed seed.
-[[nodiscard]] DispatchResult simulate_dispatch(
-    const model::ClusterSpec& cluster, const workload::Workload& workload,
-    const DispatchOptions& options);
-
-/// One component of a multi-program job stream.
-struct MixedStream {
-  workload::Workload workload;
-  double weight = 1.0;  ///< relative arrival share (normalized internally)
-};
-
-/// Per-program breakdown of a mixed-stream run.
-struct StreamStats {
-  std::string program;
-  std::uint64_t jobs = 0;
-  Seconds mean_response{};
-  Seconds p95_response{};
-};
-
-struct MixedDispatchResult {
-  DispatchResult overall;
-  std::vector<StreamStats> per_program;
-};
-
-/// Mixed-stream variant: arrivals draw their program from `streams` by
-/// weight ("datacenters typically receive multiple jobs concurrently from
-/// many users", Section II-C). Service time and dynamic power depend on
-/// BOTH the chosen node and the job's program, so heterogeneity-aware
-/// policies must reason per job. Utilization is offered against the
-/// weight-averaged cluster capacity.
-[[nodiscard]] MixedDispatchResult simulate_mixed_dispatch(
-    const model::ClusterSpec& cluster, const std::vector<MixedStream>& streams,
-    const DispatchOptions& options);
 
 }  // namespace hcep::cluster

@@ -11,9 +11,9 @@
 // cross-site parallelism) and sorts the site's end-to-end latencies. A
 // serial fold turns the per-site results into one FleetReport: fleet
 // totals, a routes matrix, per-class END-TO-END latency ledgers that
-// include WAN transit, time-of-use energy cost and carbon ledgers
-// integrated against each site's curves, and the merged obs metrics
-// snapshot.
+// include WAN transit, and time-of-use energy cost and carbon ledgers
+// integrated against each site's curves. Site runs are unobserved: they
+// report into neither the caller's obs::Observer nor the global one.
 //
 // Determinism contract: for a fixed (scenario, FleetOptions::seed) the
 // FleetReport JSON is byte-identical across runs and across
@@ -31,7 +31,6 @@
 #include "hcep/fed/router.hpp"
 #include "hcep/fed/site.hpp"
 #include "hcep/hw/network.hpp"
-#include "hcep/obs/metrics.hpp"
 #include "hcep/traffic/simulate.hpp"
 #include "hcep/util/json.hpp"
 #include "hcep/util/units.hpp"
@@ -133,12 +132,6 @@ struct FleetReport {
   /// Streaming runs only; see CostWindow. Window sums plus the
   /// post-makespan idle tails equal the fleet totals above.
   std::vector<CostWindow> cost_windows;
-
-  /// Merged obs metrics across sites (site order; empty without
-  /// HCEP_OBS). Like TrafficResult::control, deliberately NOT part of
-  /// to_json() — the report document stays identical whether or not
-  /// the binary was built with observability.
-  obs::MetricsSnapshot metrics;
 
   /// Deterministic JSON (insertion-ordered keys; same (scenario, seed)
   /// runs are byte-identical, for every FleetOptions::shards).

@@ -6,8 +6,9 @@
 // instrumentation site reduces to one thread-local load, one atomic load
 // and a branch, so the PR-1 sweep/simulator fast paths are untouched.
 // A ScopedObserver installs an observer for the calling thread (each
-// parallel campaign can trace into its own sink); set_global() installs
-// a process-wide fallback that pool workers and sweep chunks report to.
+// parallel campaign can trace into its own sink), or the null sink to
+// run a scope unobserved; set_global() installs a process-wide fallback
+// that pool workers and sweep chunks report to.
 //
 // Compile-time kill switch: building with -DHCEP_OBS=0 (CMake option
 // `HCEP_OBS`) compiles every instrumentation site out entirely; the obs
@@ -36,7 +37,8 @@ struct Observer {
 };
 
 /// The calling thread's observer: the thread-local override when one is
-/// installed, else the process-wide fallback, else nullptr (null sink).
+/// installed (nullptr under a null-sink scope), else the process-wide
+/// fallback, else nullptr (null sink).
 [[nodiscard]] Observer* current();
 
 /// Installs/clears the process-wide fallback (not owning). Pass nullptr
@@ -48,12 +50,16 @@ void set_global(Observer* observer);
 class ScopedObserver {
  public:
   explicit ScopedObserver(Observer& observer);
+  /// nullptr installs the null sink: the scope reports nowhere, not even
+  /// to the global fallback.
+  explicit ScopedObserver(Observer* observer);
   ~ScopedObserver();
   ScopedObserver(const ScopedObserver&) = delete;
   ScopedObserver& operator=(const ScopedObserver&) = delete;
 
  private:
   Observer* previous_;
+  bool previous_installed_;
 };
 
 }  // namespace hcep::obs

@@ -54,12 +54,6 @@ struct RunReport {
                                         const MetricsSnapshot* metrics =
                                             nullptr);
 
-/// Merges snapshots: counters sum, gauges take the last writer,
-/// histograms with identical bounds add bucket-wise (different bounds for
-/// the same name throw). Entry order is first-seen across the inputs.
-[[nodiscard]] MetricsSnapshot merge_snapshots(
-    const std::vector<MetricsSnapshot>& snapshots);
-
 /// Prometheus text exposition (text/plain; version 0.0.4): one # TYPE
 /// line per family, histogram buckets cumulative with a le="+Inf" total,
 /// metric names sanitized (dots and other invalid characters become

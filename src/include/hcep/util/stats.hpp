@@ -1,6 +1,6 @@
 // Online and batch statistics used by the simulator's measurement layer:
-// Welford running moments, exact percentiles from samples, the P-squared
-// streaming quantile estimator and fixed-width histograms.
+// Welford running moments, exact percentiles from samples and the
+// P-squared streaming quantile estimator.
 #pragma once
 
 #include <cstddef>
@@ -70,27 +70,6 @@ class P2Quantile {
   double positions_[5] = {};
   double desired_[5] = {};
   double increments_[5] = {};
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so mass is never lost.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-  [[nodiscard]] double count(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double total() const { return total_; }
-  /// Smallest x with CDF(x) >= p/100 (bin upper edge granularity).
-  [[nodiscard]] double percentile(double p) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
 };
 
 }  // namespace hcep

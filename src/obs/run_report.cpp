@@ -211,62 +211,6 @@ RunReport make_run_report(const Trace& trace, std::string title,
   return report;
 }
 
-MetricsSnapshot merge_snapshots(
-    const std::vector<MetricsSnapshot>& snapshots) {
-  MetricsSnapshot out;
-  for (const MetricsSnapshot& snap : snapshots) {
-    for (const auto& [name, value] : snap.counters) {
-      bool found = false;
-      for (auto& [seen, total] : out.counters) {
-        if (seen == name) {
-          total += value;
-          found = true;
-          break;
-        }
-      }
-      if (!found) out.counters.emplace_back(name, value);
-    }
-    for (const auto& [name, value] : snap.gauges) {
-      bool found = false;
-      for (auto& [seen, current] : out.gauges) {
-        if (seen == name) {
-          current = value;  // last writer wins, like the live registry
-          found = true;
-          break;
-        }
-      }
-      if (!found) out.gauges.emplace_back(name, value);
-    }
-    for (const HistogramSnapshot& h : snap.histograms) {
-      HistogramSnapshot* seen = nullptr;
-      for (HistogramSnapshot& candidate : out.histograms) {
-        if (candidate.name == h.name) {
-          seen = &candidate;
-          break;
-        }
-      }
-      if (seen == nullptr) {
-        out.histograms.push_back(h);
-        continue;
-      }
-      require(seen->bounds == h.bounds,
-              "merge_snapshots: histogram '" + h.name +
-                  "' has mismatched bounds");
-      // Equal bounds do not imply equal bucket layouts for hand-built
-      // snapshots; indexing blindly would read/write out of bounds, so
-      // reject the malformed pair instead.
-      require(seen->counts.size() == h.counts.size(),
-              "merge_snapshots: histogram '" + h.name +
-                  "' has mismatched bucket layouts");
-      for (std::size_t i = 0; i < h.counts.size(); ++i)
-        seen->counts[i] += h.counts[i];
-      seen->count += h.count;
-      seen->sum += h.sum;
-    }
-  }
-  return out;
-}
-
 std::string prometheus_text(const MetricsSnapshot& snapshot) {
   std::string out;
   for (const auto& [name, value] : snapshot.counters) {

@@ -800,10 +800,10 @@ class Engine final : public control::Actuator {
     return (*tables_)[nodes_[node].type_ord].rate[p];
   }
 
-  /// Node choice: cluster::choose_node (the chooser simulate_dispatch
-  /// uses too) over the active nodes — neither parked nor draining.
-  /// dispatchable_ counts them, so with none parked (always, in open
-  /// loop) kRandom draws uniform_int over the whole node set.
+  /// Node choice: cluster::choose_node over the active nodes — neither
+  /// parked nor draining. dispatchable_ counts them, so with none parked
+  /// (always, in open loop) kRandom draws uniform_int over the whole
+  /// node set.
   std::size_t pick_node(std::size_t cls) {
     const bool all_active = dispatchable_ == nodes_.size();
     return cluster::choose_node(

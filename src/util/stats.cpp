@@ -172,45 +172,4 @@ double P2Quantile::value() const {
   return heights_[2];
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0.0) {
-  require(hi > lo, "Histogram: hi must exceed lo");
-  require(bins >= 1, "Histogram: need at least one bin");
-}
-
-void Histogram::add(double x, double weight) {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  counts_[idx] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::percentile(double p) const {
-  require(total_ > 0.0, "Histogram::percentile: empty histogram");
-  require(p >= 0.0 && p <= 100.0, "Histogram::percentile: p out of range");
-  const double target = p / 100.0 * total_;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    acc += counts_[i];
-    if (acc >= target) return bin_hi(i);
-  }
-  return hi_;
-}
-
 }  // namespace hcep

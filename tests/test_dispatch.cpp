@@ -1,4 +1,6 @@
-// Heterogeneity-aware dispatch policies (extension).
+// Heterogeneity-aware dispatch policies (extension), run through
+// traffic::simulate_traffic with Poisson arrivals at a fraction of the
+// cluster's capacity.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -6,6 +8,8 @@
 
 #include "hcep/cluster/dispatch.hpp"
 #include "hcep/hw/catalog.hpp"
+#include "hcep/traffic/arrivals.hpp"
+#include "hcep/traffic/simulate.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/workload/catalog.hpp"
 
@@ -21,13 +25,26 @@ const workload::Workload& wl(const std::string& name) {
   throw std::runtime_error("missing workload " + name);
 }
 
-DispatchOptions opts(DispatchPolicy policy, double u = 0.5,
-                     std::uint64_t jobs = 1500) {
-  DispatchOptions o;
+/// `requests` Poisson arrivals at `u` of the cluster's capacity under
+/// the class mix, dispatched by `policy`.
+traffic::TrafficResult run(const model::ClusterSpec& cluster,
+                           const std::vector<traffic::TrafficClass>& classes,
+                           DispatchPolicy policy, double u = 0.5,
+                           std::uint64_t requests = 1500) {
+  traffic::TrafficOptions o;
   o.policy = policy;
-  o.utilization = u;
-  o.jobs = jobs;
-  return o;
+  o.requests = requests;
+  o.seed = 71;
+  const auto arrivals = traffic::make_poisson(
+      u * traffic::cluster_capacity_per_s(cluster, classes));
+  return traffic::simulate_traffic(cluster, classes, *arrivals, o);
+}
+
+traffic::TrafficResult run(const model::ClusterSpec& cluster,
+                           const std::string& program, DispatchPolicy policy,
+                           double u = 0.5, std::uint64_t requests = 1500) {
+  return run(cluster, {traffic::TrafficClass{wl(program), 1.0, {}}}, policy,
+             u, requests);
 }
 
 TEST(Dispatch, PolicyNamesAndList) {
@@ -41,11 +58,11 @@ class EveryPolicy : public ::testing::TestWithParam<DispatchPolicy> {};
 
 TEST_P(EveryPolicy, CompletesAllJobsAndAccountsEnergy) {
   const auto cluster = model::make_a9_k10_cluster(6, 2);
-  const auto r = simulate_dispatch(cluster, wl("EP"), opts(GetParam()));
-  EXPECT_EQ(r.jobs, 1500u);
+  const auto r = run(cluster, "EP", GetParam());
+  EXPECT_EQ(r.completed, 1500u);
   EXPECT_GT(r.makespan.value(), 0.0);
   EXPECT_GT(r.energy.value(), 0.0);
-  EXPECT_GT(r.p95_response, r.mean_response);
+  EXPECT_GT(r.sojourn.p95, r.sojourn.mean);
 
   std::uint64_t served = 0;
   for (const auto& n : r.nodes) {
@@ -53,17 +70,14 @@ TEST_P(EveryPolicy, CompletesAllJobsAndAccountsEnergy) {
     EXPECT_GE(n.busy_fraction, 0.0);
     EXPECT_LE(n.busy_fraction, 1.0 + 1e-9);
   }
-  EXPECT_EQ(served, r.jobs);
+  EXPECT_EQ(served, r.completed);
 }
 
 TEST_P(EveryPolicy, DeterministicForFixedSeed) {
   const auto cluster = model::make_a9_k10_cluster(4, 1);
-  const auto a = simulate_dispatch(cluster, wl("EP"),
-                                   opts(GetParam(), 0.5, 500));
-  const auto b = simulate_dispatch(cluster, wl("EP"),
-                                   opts(GetParam(), 0.5, 500));
-  EXPECT_DOUBLE_EQ(a.p95_response.value(), b.p95_response.value());
-  EXPECT_DOUBLE_EQ(a.energy.value(), b.energy.value());
+  const auto a = run(cluster, "EP", GetParam(), 0.5, 500);
+  const auto b = run(cluster, "EP", GetParam(), 0.5, 500);
+  EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, EveryPolicy,
@@ -80,19 +94,17 @@ TEST(Dispatch, FastestFirstBeatsBlindPoliciesOnLatency) {
   // On a heterogeneous floor with EP (K10 ~6.7x faster per node),
   // completion-time-aware dispatch must beat round-robin on p95.
   const auto cluster = model::make_a9_k10_cluster(8, 2);
-  const auto smart = simulate_dispatch(
-      cluster, wl("EP"), opts(DispatchPolicy::kFastestFirst, 0.6, 3000));
-  const auto blind = simulate_dispatch(
-      cluster, wl("EP"), opts(DispatchPolicy::kRoundRobin, 0.6, 3000));
-  EXPECT_LT(smart.p95_response.value(), blind.p95_response.value());
+  const auto smart =
+      run(cluster, "EP", DispatchPolicy::kFastestFirst, 0.6, 3000);
+  const auto blind = run(cluster, "EP", DispatchPolicy::kRoundRobin, 0.6, 3000);
+  EXPECT_LT(smart.sojourn.p95.value(), blind.sojourn.p95.value());
 }
 
 TEST(Dispatch, LeastEnergyPrefersTheEfficientType) {
   // For EP the A9 costs less dynamic energy per job; the least-energy
   // policy must route the bulk of the jobs there.
   const auto cluster = model::make_a9_k10_cluster(6, 2);
-  const auto r = simulate_dispatch(
-      cluster, wl("EP"), opts(DispatchPolicy::kLeastEnergy, 0.3, 2000));
+  const auto r = run(cluster, "EP", DispatchPolicy::kLeastEnergy, 0.3, 2000);
   std::map<std::string, std::uint64_t> served;
   for (const auto& n : r.nodes) served[n.node_name] = n.jobs_served;
   EXPECT_GT(served.at("A9"), served.at("K10"));
@@ -100,10 +112,10 @@ TEST(Dispatch, LeastEnergyPrefersTheEfficientType) {
 
 TEST(Dispatch, LeastEnergyUsesLessDynamicEnergyThanFastestFirst) {
   const auto cluster = model::make_a9_k10_cluster(6, 2);
-  const auto green = simulate_dispatch(
-      cluster, wl("EP"), opts(DispatchPolicy::kLeastEnergy, 0.3, 2000));
-  const auto fast = simulate_dispatch(
-      cluster, wl("EP"), opts(DispatchPolicy::kFastestFirst, 0.3, 2000));
+  const auto green =
+      run(cluster, "EP", DispatchPolicy::kLeastEnergy, 0.3, 2000);
+  const auto fast =
+      run(cluster, "EP", DispatchPolicy::kFastestFirst, 0.3, 2000);
   // Same idle floor dominates total energy; compare per-job energy with
   // the makespan effect: green must not be more power-hungry on average.
   EXPECT_LE(green.average_power.value(), fast.average_power.value() * 1.05);
@@ -111,86 +123,49 @@ TEST(Dispatch, LeastEnergyUsesLessDynamicEnergyThanFastestFirst) {
 
 TEST(Dispatch, HigherUtilizationRaisesResponse) {
   const auto cluster = model::make_a9_k10_cluster(4, 1);
-  const auto low = simulate_dispatch(
-      cluster, wl("EP"), opts(DispatchPolicy::kJoinShortestQueue, 0.3, 2000));
-  const auto high = simulate_dispatch(
-      cluster, wl("EP"), opts(DispatchPolicy::kJoinShortestQueue, 0.85, 2000));
-  EXPECT_GT(high.p95_response.value(), low.p95_response.value());
-}
-
-TEST(Dispatch, Validation) {
-  const auto cluster = model::make_a9_k10_cluster(2, 1);
-  DispatchOptions o;
-  o.utilization = 1.0;
-  EXPECT_THROW((void)simulate_dispatch(cluster, wl("EP"), o),
-               PreconditionError);
-  o.utilization = 0.5;
-  o.jobs = 0;
-  EXPECT_THROW((void)simulate_dispatch(cluster, wl("EP"), o),
-               PreconditionError);
+  const auto low =
+      run(cluster, "EP", DispatchPolicy::kJoinShortestQueue, 0.3, 2000);
+  const auto high =
+      run(cluster, "EP", DispatchPolicy::kJoinShortestQueue, 0.85, 2000);
+  EXPECT_GT(high.sojourn.p95.value(), low.sojourn.p95.value());
 }
 
 TEST(MixedDispatch, JobSharesFollowWeights) {
   const auto cluster = model::make_a9_k10_cluster(4, 2);
-  std::vector<MixedStream> streams{{wl("EP"), 3.0}, {wl("blackscholes"), 1.0}};
-  DispatchOptions o;
-  o.policy = DispatchPolicy::kFastestFirst;
-  o.utilization = 0.5;
-  o.jobs = 4000;
-  const auto r = simulate_mixed_dispatch(cluster, streams, o);
-  ASSERT_EQ(r.per_program.size(), 2u);
-  EXPECT_EQ(r.per_program[0].program, "EP");
-  EXPECT_EQ(r.per_program[1].program, "blackscholes");
-  const double share = static_cast<double>(r.per_program[0].jobs) /
-                       static_cast<double>(o.jobs);
+  const auto r = run(cluster,
+                     {traffic::TrafficClass{wl("EP"), 3.0, {}},
+                      traffic::TrafficClass{wl("blackscholes"), 1.0, {}}},
+                     DispatchPolicy::kFastestFirst, 0.5, 4000);
+  ASSERT_EQ(r.classes.size(), 2u);
+  EXPECT_EQ(r.classes[0].name, "EP");
+  EXPECT_EQ(r.classes[1].name, "blackscholes");
+  const double share = static_cast<double>(r.classes[0].completed) / 4000.0;
   EXPECT_NEAR(share, 0.75, 0.03);  // weight 3:1
-  EXPECT_EQ(r.per_program[0].jobs + r.per_program[1].jobs, o.jobs);
+  EXPECT_EQ(r.classes[0].completed + r.classes[1].completed, 4000u);
 }
 
 TEST(MixedDispatch, PerProgramResponsesDiffer) {
-  // blackscholes jobs (~3 s on an A9) dwarf EP jobs (~1.4 s on an A9);
-  // their percentiles must separate.
+  // x264 jobs (~250 s on an A9) dwarf EP jobs (~1.4 s on an A9); their
+  // percentiles must separate.
   const auto cluster = model::make_a9_k10_cluster(4, 2);
-  std::vector<MixedStream> streams{{wl("EP"), 1.0}, {wl("x264"), 1.0}};
-  DispatchOptions o;
-  o.policy = DispatchPolicy::kFastestFirst;
-  o.utilization = 0.4;
-  o.jobs = 2000;
-  const auto r = simulate_mixed_dispatch(cluster, streams, o);
-  EXPECT_GT(r.per_program[1].p95_response.value(),
-            r.per_program[0].p95_response.value());
-}
-
-TEST(MixedDispatch, SingleStreamMatchesSimpleEntryPoint) {
-  const auto cluster = model::make_a9_k10_cluster(3, 1);
-  DispatchOptions o;
-  o.policy = DispatchPolicy::kJoinShortestQueue;
-  o.utilization = 0.5;
-  o.jobs = 800;
-  const auto simple = simulate_dispatch(cluster, wl("EP"), o);
-  const auto mixed =
-      simulate_mixed_dispatch(cluster, {MixedStream{wl("EP"), 1.0}}, o);
-  EXPECT_DOUBLE_EQ(simple.p95_response.value(),
-                   mixed.overall.p95_response.value());
-  EXPECT_DOUBLE_EQ(simple.energy.value(), mixed.overall.energy.value());
-}
-
-TEST(MixedDispatch, Validation) {
-  const auto cluster = model::make_a9_k10_cluster(2, 1);
-  DispatchOptions o;
-  EXPECT_THROW((void)simulate_mixed_dispatch(cluster, {}, o),
-               PreconditionError);
-  EXPECT_THROW((void)simulate_mixed_dispatch(
-                   cluster, {MixedStream{wl("EP"), 0.0}}, o),
-               PreconditionError);
+  const auto r = run(cluster,
+                     {traffic::TrafficClass{wl("EP"), 1.0, {}},
+                      traffic::TrafficClass{wl("x264"), 1.0, {}}},
+                     DispatchPolicy::kFastestFirst, 0.4, 2000);
+  EXPECT_GT(r.classes[1].sojourn.p95.value(),
+            r.classes[0].sojourn.p95.value());
 }
 
 TEST(Dispatch, RejectsWorkloadWithoutDemand) {
   workload::CatalogOptions copts;
   copts.nodes = {hw::cortex_a9()};
-  const auto a9_only = workload::make_workload("EP", copts);
+  const std::vector<traffic::TrafficClass> a9_only{
+      {workload::make_workload("EP", copts), 1.0, {}}};
   const auto cluster = model::make_a9_k10_cluster(2, 1);
-  EXPECT_THROW((void)simulate_dispatch(cluster, a9_only, {}),
+  EXPECT_THROW((void)traffic::cluster_capacity_per_s(cluster, a9_only),
+               PreconditionError);
+  EXPECT_THROW((void)traffic::simulate_traffic(
+                   cluster, a9_only, *traffic::make_poisson(1.0), {}),
                PreconditionError);
 }
 

@@ -20,6 +20,7 @@
 #include "hcep/fed/router.hpp"
 #include "hcep/fed/site.hpp"
 #include "hcep/hw/network.hpp"
+#include "hcep/obs/obs.hpp"
 #include "hcep/traffic/arrivals.hpp"
 #include "hcep/traffic/simulate.hpp"
 #include "hcep/util/error.hpp"
@@ -640,6 +641,38 @@ TEST(Fleet, ReportIsByteDeterministicAcrossRunsAndShards) {
   for (std::size_t s = 0; s < a.sites.size(); ++s)
     EXPECT_EQ(a.sites[s].result.to_json().dump(),
               c.sites[s].result.to_json().dump());
+}
+
+TEST(Fleet, SiteRunsReportToNoObserver) {
+  // Sites run under the null sink: neither the caller's thread-local
+  // observer nor the global fallback sees their traffic or DES
+  // instrumentation, whether the sites run inline or on pool threads.
+  const FleetScenario scenario(300);
+  // Static: an idle pool worker keeps the global sink it read before it
+  // began to wait (ThreadPool::worker_loop) and books its next wait to
+  // it, so this observer must outlive every later pool task.
+  static obs::Observer global;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    obs::Observer local;
+    obs::set_global(&global);
+    {
+      const obs::ScopedObserver install(local);
+      FleetOptions options = scenario.options;
+      options.shards = shards;
+      (void)simulate_fleet(scenario.sites, scenario.network,
+                           scenario.classes, options);
+    }
+    obs::set_global(nullptr);
+    for (const obs::Observer* o : {&local, &global}) {
+      const obs::MetricsSnapshot snap = o->metrics.snapshot();
+      for (const auto& [name, value] : snap.counters)
+        EXPECT_FALSE(name.starts_with("traffic.") || name.starts_with("des."))
+            << name << " at shards " << shards;
+      for (const obs::TraceEvent& ev : o->tracer.events())
+        EXPECT_NE(o->tracer.string_at(ev.category), "traffic")
+            << "at shards " << shards;
+    }
+  }
 }
 
 TEST(Fleet, LedgersConserveAndCostWindowsSumToTotals) {

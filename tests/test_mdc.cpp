@@ -1,12 +1,13 @@
 // M/D/c analytics: Erlang-C and the Allen-Cunneen approximation,
-// cross-checked against the queue specializations and the dispatch
+// cross-checked against the queue specializations and the traffic
 // simulator on a homogeneous pool.
 #include <gtest/gtest.h>
 
-#include "hcep/cluster/dispatch.hpp"
 #include "hcep/hw/catalog.hpp"
 #include "hcep/queueing/md1.hpp"
 #include "hcep/queueing/mdc.hpp"
+#include "hcep/traffic/arrivals.hpp"
+#include "hcep/traffic/simulate.hpp"
 #include "hcep/workload/node_ops.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/workload/catalog.hpp"
@@ -63,11 +64,15 @@ TEST(MDc, TracksHomogeneousDispatchSimulation) {
   // 4 identical A9 nodes under JSQ ~ an M/D/4 queue.
   static const auto ep = workload::make_workload("EP");
   const auto cluster_spec = model::make_a9_k10_cluster(4, 0);
-  cluster::DispatchOptions opts;
+  const std::vector<traffic::TrafficClass> classes{{ep, 1.0, {}}};
+  traffic::TrafficOptions opts;
   opts.policy = cluster::DispatchPolicy::kJoinShortestQueue;
-  opts.utilization = 0.7;
-  opts.jobs = 6000;
-  const auto sim = cluster::simulate_dispatch(cluster_spec, ep, opts);
+  opts.requests = 6000;
+  opts.seed = 71;
+  const auto arrivals = traffic::make_poisson(
+      0.7 * traffic::cluster_capacity_per_s(cluster_spec, classes));
+  const auto sim =
+      traffic::simulate_traffic(cluster_spec, classes, *arrivals, opts);
 
   const Seconds per_node_service{
       ep.units_per_job /
@@ -75,7 +80,7 @@ TEST(MDc, TracksHomogeneousDispatchSimulation) {
                                 hw::cortex_a9().cores,
                                 hw::cortex_a9().dvfs.max())};
   const MDc q = MDc::from_utilization(per_node_service, 0.7, 4);
-  EXPECT_NEAR(sim.mean_response.value(), q.mean_response().value(),
+  EXPECT_NEAR(sim.sojourn.mean.value(), q.mean_response().value(),
               q.mean_response().value() * 0.25);
 }
 

@@ -282,6 +282,25 @@ TEST(Observer, ScopedInstallRestoresPreviousAndGlobalIsFallback) {
     // The thread-local override shadows the global fallback.
     obs::set_global(&global);
     EXPECT_EQ(obs::current(), &outer);
+
+    // The null sink shadows both; leaving it restores the override.
+    {
+      obs::ScopedObserver none(nullptr);
+      EXPECT_EQ(obs::current(), nullptr);
+    }
+    EXPECT_EQ(obs::current(), &outer);
+  }
+  EXPECT_EQ(obs::current(), &global);
+  {
+    // With no override below it, the null sink still masks the global,
+    // and an observer installed inside it reports as usual.
+    obs::ScopedObserver none(nullptr);
+    EXPECT_EQ(obs::current(), nullptr);
+    {
+      obs::ScopedObserver b(inner);
+      EXPECT_EQ(obs::current(), &inner);
+    }
+    EXPECT_EQ(obs::current(), nullptr);
   }
   EXPECT_EQ(obs::current(), &global);
   obs::set_global(nullptr);

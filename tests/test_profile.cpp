@@ -421,90 +421,4 @@ TEST(Prometheus, TextExpositionIsLineParseable) {
   EXPECT_NE(text.find("wait_seconds_count 6"), std::string::npos);
 }
 
-TEST(Prometheus, MergeSumsCountersAndAddsHistogramsBucketwise) {
-  obs::MetricsSnapshot a, b;
-  a.counters = {{"jobs", 10}};
-  b.counters = {{"jobs", 5}, {"extra", 1}};
-  a.gauges = {{"level", 1.0}};
-  b.gauges = {{"level", 2.0}};
-  obs::HistogramSnapshot ha;
-  ha.name = "h";
-  ha.bounds = {1.0};
-  ha.counts = {2, 1};
-  ha.count = 3;
-  ha.sum = 2.5;
-  obs::HistogramSnapshot hb = ha;
-  hb.counts = {1, 0};
-  hb.count = 1;
-  hb.sum = 0.5;
-  a.histograms = {ha};
-  b.histograms = {hb};
-
-  const obs::MetricsSnapshot merged = obs::merge_snapshots({a, b});
-  EXPECT_EQ(merged.counter("jobs"), 15u);
-  EXPECT_EQ(merged.counter("extra"), 1u);
-  EXPECT_DOUBLE_EQ(merged.gauge("level"), 2.0);  // last writer wins
-  ASSERT_EQ(merged.histograms.size(), 1u);
-  EXPECT_EQ(merged.histograms[0].count, 4u);
-  EXPECT_EQ(merged.histograms[0].counts[0], 3u);
-  EXPECT_DOUBLE_EQ(merged.histograms[0].sum, 3.0);
-
-  obs::HistogramSnapshot hc = ha;
-  hc.bounds = {2.0};
-  obs::MetricsSnapshot c;
-  c.histograms = {hc};
-  EXPECT_THROW((void)obs::merge_snapshots({a, c}), PreconditionError);
-}
-
-TEST(Prometheus, MergeKeepsFirstSeenOrderAcrossDisjointNames) {
-  // Entry order of the merged snapshot is first-seen across the inputs
-  // in input order — the property that makes merged fleet reports
-  // byte-deterministic. Disjoint name sets must interleave exactly as
-  // encountered, never re-sort.
-  obs::MetricsSnapshot a, b;
-  a.counters = {{"zeta", 1}, {"alpha", 2}};
-  b.counters = {{"mid", 3}, {"alpha", 4}};
-  a.gauges = {{"g2", 1.0}};
-  b.gauges = {{"g1", 2.0}};
-
-  const obs::MetricsSnapshot merged = obs::merge_snapshots({a, b});
-  ASSERT_EQ(merged.counters.size(), 3u);
-  EXPECT_EQ(merged.counters[0].first, "zeta");
-  EXPECT_EQ(merged.counters[1].first, "alpha");
-  EXPECT_EQ(merged.counters[2].first, "mid");
-  EXPECT_EQ(merged.counters[1].second, 6u);
-  ASSERT_EQ(merged.gauges.size(), 2u);
-  EXPECT_EQ(merged.gauges[0].first, "g2");
-  EXPECT_EQ(merged.gauges[1].first, "g1");
-
-  // Merging in the opposite input order flips the entry order — the
-  // order is a function of the input sequence, not of the names.
-  const obs::MetricsSnapshot flipped = obs::merge_snapshots({b, a});
-  EXPECT_EQ(flipped.counters[0].first, "mid");
-  EXPECT_EQ(flipped.counters[1].first, "alpha");
-  EXPECT_EQ(flipped.counters[2].first, "zeta");
-}
-
-TEST(Prometheus, MergeRejectsMismatchedBucketLayouts) {
-  // Equal bounds do not imply equal bucket layouts for hand-built
-  // snapshots; before the explicit length check the merge indexed the
-  // longer counts vector into the shorter one (out-of-bounds write).
-  obs::HistogramSnapshot ha;
-  ha.name = "h";
-  ha.bounds = {1.0};
-  ha.counts = {2, 1};
-  ha.count = 3;
-  ha.sum = 2.5;
-  obs::HistogramSnapshot hb = ha;
-  hb.counts = {1, 0, 7};  // same bounds, extra bucket
-  obs::MetricsSnapshot a, b;
-  a.histograms = {ha};
-  b.histograms = {hb};
-  EXPECT_THROW((void)obs::merge_snapshots({a, b}), PreconditionError);
-
-  // The other direction (shorter into longer) must also throw, not
-  // silently drop the tail bucket.
-  EXPECT_THROW((void)obs::merge_snapshots({b, a}), PreconditionError);
-}
-
 }  // namespace

@@ -188,39 +188,4 @@ TEST(P2Quantile, RejectsBadQuantile) {
   EXPECT_THROW((void)q.value(), PreconditionError);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(-3.0);   // clamps to first bin
-  h.add(100.0);  // clamps to last bin
-  EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(5), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(9), 1.0);
-  EXPECT_DOUBLE_EQ(h.total(), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(5), 6.0);
-}
-
-TEST(Histogram, WeightedSamples) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25, 3.0);
-  h.add(0.75, 1.0);
-  EXPECT_DOUBLE_EQ(h.count(0), 3.0);
-  EXPECT_DOUBLE_EQ(h.total(), 4.0);
-}
-
-TEST(Histogram, PercentileAtBinGranularity) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.percentile(95.0), 95.0, 1.0);
-  EXPECT_NEAR(h.percentile(50.0), 50.0, 1.0);
-}
-
-TEST(Histogram, Validation) {
-  EXPECT_THROW(Histogram(1.0, 0.0, 10), PreconditionError);
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_THROW((void)h.percentile(50.0), PreconditionError);  // empty
-}
-
 }  // namespace
