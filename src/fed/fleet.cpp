@@ -10,7 +10,6 @@
 #include "hcep/parallel/thread_pool.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/util/rng.hpp"
-#include "hcep/util/stats.hpp"
 
 namespace hcep::fed {
 
@@ -391,10 +390,10 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
   // joined to the site's transit column, judged on transit + sojourn.
   // Sites are folded in index order, records in arrival order — a fixed
   // fold order, so the transit sums are deterministic. Each class's
-  // summary is taken over the ascending merge of its sorted site runs,
-  // so from_samples skips its sort; a sorted sequence is unique up to
-  // bit-equal values (no sample is -0.0: transit and sojourn are both
-  // >= 0), so the bytes are those of sorting the joined samples.
+  // summary is streamed from the merge of its sorted site runs; a sorted
+  // sequence is unique up to bit-equal values (no sample is -0.0:
+  // transit and sojourn are both >= 0), so the bytes are those of
+  // sorting the joined samples.
   report.classes.resize(classes.size());
   for (std::size_t c = 0; c < classes.size(); ++c) {
     FleetClassLedger& ledger = report.classes[c];
@@ -432,7 +431,6 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
       }
     }
     std::vector<std::span<const double>> runs(n);
-    std::vector<double> e2e;
     for (std::size_t c = 0; c < classes.size(); ++c) {
       FleetClassLedger& ledger = report.classes[c];
       if (ledger.completed > 0)
@@ -440,10 +438,7 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
             Seconds{transit_sum[c].value() /
                     static_cast<double>(ledger.completed)};
       for (std::size_t s = 0; s < n; ++s) runs[s] = e2e_runs[s][c];
-      e2e.clear();
-      e2e.reserve(ledger.completed);
-      merge_ascending(runs, e2e);
-      ledger.e2e = traffic::LatencySummary::from_samples(e2e);
+      ledger.e2e = traffic::LatencySummary::from_sorted_runs(runs);
     }
   }
 

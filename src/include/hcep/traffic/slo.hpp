@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,12 +37,20 @@ struct LatencySummary {
   Seconds max{};
 
   /// Exact percentiles of `samples_s` (seconds). Sorts the vector in
-  /// place, once (not at all when it is already ascending), then sums it
-  /// in that order and reads p50/p95/p99 from it with no copy. The bytes
-  /// depend only on the multiset of samples: a sorted sequence is unique
-  /// up to equal values, which are bit-equal unless one is -0.0.
+  /// place, once (not at all when it is already ascending), then takes
+  /// from_sorted_runs of that one run.
   [[nodiscard]] static LatencySummary from_samples(
       std::vector<double>& samples_s);
+
+  /// Exact summary of the union of ascending `runs` (seconds), streamed
+  /// from their k-way merge: sums in merged order and keeps only the six
+  /// order statistics p50/p95/p99 interpolate between, plus the last
+  /// value. No buffer, and no allocation for up to 64 runs.
+  /// The bytes depend only on the multiset of samples: a sorted sequence
+  /// is unique up to equal values, which are bit-equal unless one is
+  /// -0.0, so a tie may be taken from any run.
+  [[nodiscard]] static LatencySummary from_sorted_runs(
+      std::span<const std::span<const double>> runs);
 
   [[nodiscard]] JsonValue to_json() const;
 };

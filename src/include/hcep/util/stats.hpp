@@ -44,11 +44,22 @@ class RunningStats {
 [[nodiscard]] double percentile_sorted(std::span<const double> sorted,
                                        double p);
 
-/// Appends the k-way merge of the ascending `runs` to `out`, ascending.
-/// Ties take the value from the lower-indexed run; empty runs are
-/// skipped, and the last run left is copied in one block.
-void merge_ascending(std::span<const std::span<const double>> runs,
-                     std::vector<double>& out);
+/// Where percentile `p` of `n` ascending samples falls: between the
+/// samples at ranks `lo` and `hi`, `frac` of the way. The one formula
+/// percentile_sorted and traffic::LatencySummary share, so a caller that
+/// visits the samples without holding them reads the same two values.
+struct PercentileRank {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+
+  [[nodiscard]] double interpolate(double at_lo, double at_hi) const {
+    return at_lo + frac * (at_hi - at_lo);
+  }
+};
+
+/// Rank of percentile `p` (in [0, 100]) among `n` > 0 samples.
+[[nodiscard]] PercentileRank percentile_rank(std::size_t n, double p);
 
 /// P-squared (P2) streaming quantile estimator (Jain & Chlamtac, 1985).
 /// Tracks one quantile with O(1) memory; the cluster simulator uses it for

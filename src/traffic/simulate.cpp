@@ -1,11 +1,14 @@
 #include "hcep/traffic/simulate.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
+#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <span>
+#include <thread>
 #include <utility>
 
 #include "hcep/config/operating_points.hpp"
@@ -17,7 +20,6 @@
 #include "hcep/parallel/thread_pool.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/util/rng.hpp"
-#include "hcep/util/stats.hpp"
 #include "hcep/workload/node_ops.hpp"
 
 namespace hcep::traffic {
@@ -196,8 +198,9 @@ std::vector<double> cumulative_weights(
   return cumulative;
 }
 
-/// The run's one latency sample store: every completion's wait, service
-/// and sojourn, kept per class (the overall summaries use their union).
+/// An engine's latency sample store: every completion's wait, service
+/// and sojourn, kept per class, plus the class's ledger counters. The
+/// run's summaries are streamed from the engines' sorted vectors.
 struct ClassSamples {
   std::vector<double> wait, service, sojourn;
   std::uint64_t offered = 0, admitted = 0, shed = 0, retries = 0,
@@ -205,15 +208,120 @@ struct ClassSamples {
   Joules dynamic_energy{};
 };
 
-/// Appends `src` to `dst`. An empty `dst` takes over `src`'s buffer, so
-/// merging a single engine's outputs copies nothing.
-template <class T>
-void append(std::vector<T>& dst, std::vector<T>& src) {
-  if (dst.empty())
-    dst = std::move(src);
-  else
-    dst.insert(dst.end(), src.begin(), src.end());
-}
+/// A replay feed's source: a time-sorted arrival array that may still be
+/// growing. Values below `published` are final (the producer writes
+/// them, then release-stores the count), and once `done` is set the
+/// count is final too. A caller's whole vector is the fully published
+/// case.
+struct ReplaySource {
+  const Arrival* data = nullptr;
+  std::uint64_t planned = 0;  ///< sequence numbers a claiming feed takes
+  std::atomic<std::uint64_t> published{0};
+  std::atomic<bool> done{false};
+
+  /// Publishes the first `count` values; `last` ends the source.
+  void publish(std::uint64_t count, bool last) {
+    published.store(count, std::memory_order_release);
+    if (last) done.store(true, std::memory_order_release);
+  }
+};
+
+/// The arrival stream of a sharded run: one sequential generator (the
+/// same stream for any shard count) dealt round-robin into per-shard
+/// slices. Each slice is reserved to its planned size up front, so the
+/// producer appends without moving it while its shard replays what is
+/// published below. The producer runs as a pool task beside the shards,
+/// or to completion before they start.
+class ShardStream {
+ public:
+  /// Plans the slices of `requests` arrivals drawn from `gen` with `rng`
+  /// (times, then a class coin on `cumulative` per arrival when there is
+  /// more than one class), in the order of a serial loop.
+  ShardStream(std::size_t shards, std::uint64_t requests,
+              std::unique_ptr<ArrivalProcess> gen, Rng rng,
+              const std::vector<double>& cumulative)
+      : slices_(shards),
+        sources_(shards),
+        requests_(requests),
+        gen_(std::move(gen)),
+        rng_(rng),
+        cumulative_(cumulative) {
+    for (std::size_t s = 0; s < shards; ++s) {
+      const std::uint64_t planned =
+          requests / shards + (s < requests % shards ? 1 : 0);
+      slices_[s].reserve(planned);
+      sources_[s].data = slices_[s].data();
+      sources_[s].planned = planned;
+    }
+  }
+  ShardStream(const ShardStream&) = delete;
+  ShardStream& operator=(const ShardStream&) = delete;
+  /// Joins a producer still running when the run unwinds early.
+  ~ShardStream() {
+    if (producer_.valid()) producer_.wait();
+  }
+
+  [[nodiscard]] ReplaySource& source(std::size_t s) { return sources_[s]; }
+
+  /// Produces the stream: on the global pool when `pipelined`, else
+  /// here, to completion.
+  void start(bool pipelined) {
+    if (pipelined)
+      producer_ = ThreadPool::global().submit([this] { produce(); });
+    else
+      produce();
+  }
+
+  /// Waits for a pooled producer; rethrows what it threw.
+  void finish() {
+    if (producer_.valid()) producer_.get();
+  }
+
+ private:
+  /// Arrivals per shard between two publications.
+  static constexpr std::uint64_t kBlock = 4096;
+
+  void produce() {
+    const std::size_t shards = slices_.size();
+    const auto publish = [&](bool last) {
+      for (std::size_t s = 0; s < shards; ++s)
+        sources_[s].publish(slices_[s].size(), last);
+    };
+    try {
+      Seconds t{0.0};
+      std::size_t shard = 0;
+      std::uint64_t until_publish = kBlock * shards;
+      for (std::uint64_t k = 0; k < requests_; ++k) {
+        t = gen_->next(t, rng_);
+        if (!(t.value() < std::numeric_limits<double>::infinity())) break;
+        std::uint32_t cls = 0;
+        if (cumulative_.size() > 1) {
+          const double coin = rng_.uniform01();
+          while (cls + 1 < cumulative_.size() && coin > cumulative_[cls])
+            ++cls;
+        }
+        slices_[shard].push_back(Arrival{t, cls});
+        if (++shard == shards) shard = 0;
+        if (--until_publish == 0) {
+          publish(/*last=*/false);
+          until_publish = kBlock * shards;
+        }
+      }
+    } catch (...) {
+      publish(/*last=*/true);  // ends the shards' wait
+      throw;
+    }
+    publish(/*last=*/true);
+  }
+
+  std::vector<std::vector<Arrival>> slices_;
+  std::vector<ReplaySource> sources_;
+  std::uint64_t requests_;
+  std::unique_ptr<ArrivalProcess> gen_;
+  Rng rng_;
+  const std::vector<double>& cumulative_;
+  std::future<void> producer_;
+};
 
 /// One in-flight request attempt; retries carry the same first_arrival
 /// and arrival index. Sized so the hot-path callback captures below
@@ -233,10 +341,10 @@ static_assert(sizeof(Request) <= 24, "Request must stay callback-inline");
 /// Arrivals enter through one of two feeds, each holding one pending DES
 /// event at a time: the generator pump (single-shard generated runs; the
 /// class coin, node draws and generator share the engine's RNG in the
-/// seed code's interleaving) or the replay feed over a time-sorted
-/// Arrival vector (assigned-arrival runs, and each shard's dealt slice of
-/// a sharded run). Completed requests land in the per-class sample store
-/// only; the run's overall summaries are taken from their union.
+/// seed code's interleaving) or the replay feed over a ReplaySource
+/// (assigned-arrival runs, and each shard's dealt slice of a sharded
+/// run). Completed requests land in the per-class sample store only; the
+/// run's summaries are streamed from the sorted stores.
 ///
 /// Every callback this engine schedules captures at most {Engine*, node
 /// index, Request, Seconds} — 48 bytes — so no event allocates
@@ -360,27 +468,31 @@ class Engine final : public control::Actuator {
       arrivals_done_ = true;
   }
 
-  /// Replay feed: a time-sorted vector owned by the caller (the fed
+  /// Replay feed: a time-sorted source owned by the caller (the fed
   /// path's assigned arrivals, or one shard's dealt slice), scheduled
   /// lazily — each firing admits one arrival and schedules the next,
   /// mirroring the generator pump's event cost. Element j carries the
-  /// global arrival index j * shards + shard (round-robin dealing).
+  /// global arrival index j * shards + shard (round-robin dealing). A
+  /// slice still being produced is read only below its published count;
+  /// the feed waits at that count until more is published or the
+  /// stream ends.
   ///
-  /// Same-instant order: with `claim_order` the vector claims its DES
-  /// sequence numbers now, so each arrival runs ahead of every
-  /// same-instant event scheduled later, as if the whole vector had been
-  /// scheduled here — the order of a sharded run, whose stream exists up
-  /// front. Without it each arrival takes its number when scheduled, like
-  /// the pump's, so replaying a generated stream matches the generated
-  /// run.
-  void start_replay(const std::vector<Arrival>& arrivals, bool claim_order) {
-    replay_ = &arrivals;
-    if (arrivals.empty()) {
+  /// Same-instant order: with `claim_order` the source claims its planned
+  /// DES sequence numbers now, so each arrival runs ahead of every
+  /// same-instant event scheduled later, as if the whole slice had been
+  /// scheduled here — the order of a sharded run, whose stream is
+  /// planned up front. Numbers a short stream leaves unused are gaps
+  /// that reorder nothing. Without it each arrival takes its number when
+  /// scheduled, like the pump's, so replaying a generated stream matches
+  /// the generated run.
+  void start_replay(ReplaySource& source, bool claim_order) {
+    replay_ = &source;
+    if (claim_order) replay_seq_ = sim_.claim_sequence(source.planned);
+    if (!replay_has(0)) {
       arrivals_done_ = true;
       return;
     }
-    if (claim_order) replay_seq_ = sim_.claim_sequence(arrivals.size());
-    schedule_replay(arrivals.front().t);
+    schedule_replay(source.data[0].t);
   }
 
   // ---- merged outputs ----
@@ -464,11 +576,26 @@ class Engine final : public control::Actuator {
   /// event is never in the past).
   void replay_arrival() {
     const std::size_t k = replay_cursor_++;
-    if (replay_cursor_ >= replay_->size()) arrivals_done_ = true;
-    arrive((*replay_)[k].cls,
+    const bool more = replay_has(replay_cursor_);
+    if (!more) arrivals_done_ = true;
+    arrive(replay_->data[k].cls,
            std::uint64_t{k} * shard_count_ + shard_index_);
-    if (replay_cursor_ < replay_->size())
-      schedule_replay((*replay_)[replay_cursor_].t);
+    if (more) schedule_replay(replay_->data[replay_cursor_].t);
+  }
+
+  /// Whether the source holds arrival `k`; waits while the producer may
+  /// still publish it. The count is cached, so a feed ahead of its
+  /// producer's last publication reads no atomic.
+  bool replay_has(std::uint64_t k) {
+    while (k >= replay_published_) {
+      // `done` first: once it is set, the count loaded after it is final.
+      const bool done = replay_->done.load(std::memory_order_acquire);
+      replay_published_ = replay_->published.load(std::memory_order_acquire);
+      if (k < replay_published_) return true;
+      if (done) return false;
+      std::this_thread::yield();
+    }
+    return true;
   }
 
   void arrive(std::size_t cls, std::uint64_t index) {
@@ -1006,8 +1133,9 @@ class Engine final : public control::Actuator {
   Seconds last_tick_{};
   bool event_tick_pending_ = false;
   bool arrivals_done_ = false;
-  const std::vector<Arrival>* replay_ = nullptr;
+  ReplaySource* replay_ = nullptr;
   std::size_t replay_cursor_ = 0;
+  std::uint64_t replay_published_ = 0;  ///< last count read from replay_
   std::optional<std::uint64_t> replay_seq_;  ///< first claimed number
   std::vector<RequestRecord> records_;
   std::uint64_t window_arrivals_ = 0;
@@ -1150,9 +1278,13 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
         Rng(options.seed), /*tracing=*/true, tables_ptr,
         /*shard_share=*/1.0, stream_ptr, /*shard_index=*/0));
     engines[0]->start_control();
+    ReplaySource whole;
     if (assigned != nullptr) {
       process_name = "assigned";
-      engines[0]->start_replay(*assigned, /*claim_order=*/false);
+      whole.data = assigned->data();
+      whole.planned = assigned->size();
+      whole.publish(assigned->size(), /*last=*/true);
+      engines[0]->start_replay(whole, /*claim_order=*/false);
     } else {
       std::unique_ptr<ArrivalProcess> gen = process->clone();
       process_name = gen->name();
@@ -1161,29 +1293,18 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     sim->run();
   } else {
     // Sharded path: the arrival stream (time and class of every request)
-    // is generated up front from the seed — the same stream regardless
-    // of shard count — then requests and nodes are dealt round-robin
-    // across shards, and each shard replays its slice through the replay
-    // feed. Shards share no mutable state, so the windows can run in
-    // parallel; per-request tracer spans are disabled (thread
-    // interleaving would make the trace nondeterministic) while the
-    // atomic metrics counters stay on.
+    // comes from one sequential generator seeded like the single-shard
+    // run — the same stream regardless of shard count — dealt round-robin
+    // with the nodes across shards, and each shard replays its slice
+    // through the replay feed. Shards share no mutable state, so the
+    // windows can run in parallel, with the stream produced beside them;
+    // per-request tracer spans are disabled (thread interleaving would
+    // make the trace nondeterministic) while the atomic metrics counters
+    // stay on.
     std::unique_ptr<ArrivalProcess> gen = process->clone();
     process_name = gen->name();
-    Rng arrival_rng(options.seed);
-    std::vector<std::vector<Arrival>> shard_arrivals(shard_count);
-    Seconds t{0.0};
-    for (std::uint64_t k = 0; k < options.requests; ++k) {
-      t = gen->next(t, arrival_rng);
-      if (!(t.value() < std::numeric_limits<double>::infinity())) break;
-      std::size_t cls = 0;
-      if (classes.size() > 1) {
-        const double coin = arrival_rng.uniform01();
-        while (cls + 1 < classes.size() && coin > cumulative[cls]) ++cls;
-      }
-      shard_arrivals[k % shard_count].push_back(
-          Arrival{t, static_cast<std::uint32_t>(cls)});
-    }
+    ShardStream stream(shard_count, options.requests, std::move(gen),
+                       Rng(options.seed), cumulative);
 
     std::vector<std::vector<Node>> shard_nodes(shard_count);
     for (std::size_t i = 0; i < all_nodes.size(); ++i)
@@ -1200,16 +1321,26 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
                            static_cast<double>(total_nodes);
       engines.push_back(std::make_unique<Engine>(
           sharded.shard(s), classes, cumulative, options,
-          std::move(shard_nodes[s]), shard_arrivals[s].size(),
+          std::move(shard_nodes[s]), stream.source(s).planned,
           Rng(options.seed).split(static_cast<unsigned>(s)),
           /*tracing=*/false, tables_ptr, share, stream_ptr,
           static_cast<std::uint32_t>(s)));
+    }
+    // The producer runs beside the shards only when they run on the
+    // pool. Otherwise (serial shards, a one-thread pool, or a caller that
+    // is itself a pool worker) the shards run inline, and no shard may
+    // wait on a task that cannot run, so the stream is produced first.
+    const ThreadPool& pool = ThreadPool::global();
+    stream.start(/*pipelined=*/options.parallel_shards && pool.size() > 1 &&
+                 !pool.on_worker_thread());
+    for (std::size_t s = 0; s < shard_count; ++s) {
       // The slice claims its order before the tick chain starts, so a
       // shard's arrival runs ahead of a tick at the same instant.
-      engines[s]->start_replay(shard_arrivals[s], /*claim_order=*/true);
+      engines[s]->start_replay(stream.source(s), /*claim_order=*/true);
       engines[s]->start_control();
     }
     sharded.run(options.parallel_shards);
+    stream.finish();
   }
 
   // ------------------------------------------------------------ summaries
@@ -1218,7 +1349,6 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
   out.arrival_process = process_name;
   out.shards = shard_count;
 
-  std::vector<ClassSamples> per_class(classes.size());
   Joules dynamic_energy{0.0};
   Seconds makespan{0.0};
   std::vector<Node*> merged_nodes;
@@ -1232,21 +1362,6 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     out.failed += e->failed;
     dynamic_energy += e->dynamic_energy();
     makespan = std::max(makespan, e->makespan());
-    for (std::size_t s = 0; s < classes.size(); ++s) {
-      ClassSamples& dst = per_class[s];
-      ClassSamples& src = e->per_class()[s];
-      dst.offered += src.offered;
-      dst.admitted += src.admitted;
-      dst.shed += src.shed;
-      dst.retries += src.retries;
-      dst.completed += src.completed;
-      dst.failed += src.failed;
-      dst.slo_violations += src.slo_violations;
-      dst.dynamic_energy += src.dynamic_energy;
-      append(dst.wait, src.wait);
-      append(dst.service, src.service);
-      append(dst.sojourn, src.sojourn);
-    }
     for (Node& n : e->nodes()) merged_nodes.push_back(&n);
   }
 
@@ -1342,68 +1457,97 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
   if (out.completed > 0)
     out.energy_per_request = out.energy / static_cast<double>(out.completed);
 
-  for (std::size_t s = 0; s < classes.size(); ++s) {
-    ClassStats st;
+  const std::size_t class_count = classes.size();
+  out.classes.resize(class_count);
+  for (std::size_t s = 0; s < class_count; ++s) {
+    ClassStats& st = out.classes[s];
     st.name = classes[s].workload.name;
     st.slo = classes[s].slo;
-    ClassSamples& cs = per_class[s];
-    st.offered = cs.offered;
-    st.admitted = cs.admitted;
-    st.shed = cs.shed;
-    st.retries = cs.retries;
-    st.completed = cs.completed;
-    st.failed = cs.failed;
-    st.slo_violations = cs.slo_violations;
-    if (cs.completed > 0 && out.completed > 0) {
+    Joules class_dynamic{0.0};
+    for (auto& e : engines) {
+      const ClassSamples& src = e->per_class()[s];
+      st.offered += src.offered;
+      st.admitted += src.admitted;
+      st.shed += src.shed;
+      st.retries += src.retries;
+      st.completed += src.completed;
+      st.failed += src.failed;
+      st.slo_violations += src.slo_violations;
+      class_dynamic += src.dynamic_energy;
+    }
+    if (st.completed > 0 && out.completed > 0) {
       // Shared energy attributed by completion share, dynamic exactly.
       const Joules idle_share =
-          shared_energy * (static_cast<double>(cs.completed) /
+          shared_energy * (static_cast<double>(st.completed) /
                            static_cast<double>(out.completed));
-      st.energy_per_request = (idle_share + cs.dynamic_energy) /
-                              static_cast<double>(cs.completed);
+      st.energy_per_request =
+          (idle_share + class_dynamic) / static_cast<double>(st.completed);
     }
-    out.classes.push_back(std::move(st));
   }
 
-  // The class summaries: 3 x classes independent in-place sorts, run
-  // on the global pool (inline when this run already sits on a pool
-  // worker, as a fed site does). Each task owns one sample vector and
-  // one summary field, and none allocates.
+  // The latency summaries; no task allocates. First every engine's wait,
+  // service and sojourn vector is sorted in place: engines x classes x 3
+  // tasks on the global pool (inline when this run already sits on a
+  // pool worker, as a fed site does). A lone engine's vector holds its
+  // whole class, so its task takes the class summary too. Then each
+  // summary over several runs is streamed from their merge: a class's
+  // over the engines, and in a multi-class run the overall ones over
+  // every class and engine. Those merges are pool tasks when there are
+  // several engines; a lone engine's overall merges run here, so a
+  // one-engine run needs one round of pool tasks. The runs sit in one
+  // table, by field and then class, so a class's runs are a slice of its
+  // field's overall list. A lone class's summaries already are the run's.
+  constexpr std::vector<double> ClassSamples::*kSamples[3] = {
+      &ClassSamples::wait, &ClassSamples::service, &ClassSamples::sojourn};
+  constexpr LatencySummary ClassStats::*kClassSummary[3] = {
+      &ClassStats::wait, &ClassStats::service, &ClassStats::sojourn};
+  constexpr LatencySummary TrafficResult::*kOverall[3] = {
+      &TrafficResult::wait, &TrafficResult::service, &TrafficResult::sojourn};
+  const std::size_t engine_count = engines.size();
+  const std::size_t per_field = class_count * engine_count;
+  const auto samples = [&](std::size_t i) -> std::vector<double>& {
+    return engines[i % engine_count]->per_class()[i % per_field /
+                                                  engine_count].*
+           kSamples[i / per_field];
+  };
+  // The class summary run i makes up alone: a lone engine's.
+  const auto lone_summary = [&](std::size_t i) -> LatencySummary* {
+    if (engine_count > 1) return nullptr;
+    return &(out.classes[i % class_count].*kClassSummary[i / class_count]);
+  };
+  std::vector<std::span<const double>> runs(3 * per_field);
+  for (std::size_t i = 0; i < runs.size(); ++i) runs[i] = samples(i);
   parallel_for(
-      0, 3 * classes.size(),
-      [&](std::size_t i) {
-        ClassStats& st = out.classes[i / 3];
-        ClassSamples& cs = per_class[i / 3];
-        switch (i % 3) {
-          case 0: st.wait = LatencySummary::from_samples(cs.wait); break;
-          case 1: st.service = LatencySummary::from_samples(cs.service); break;
-          default: st.sojourn = LatencySummary::from_samples(cs.sojourn);
-        }
+      0, runs.size(),
+      // Two references: std::function holds them without allocating.
+      [&samples, &lone_summary](std::size_t i) {
+        std::vector<double>& v = samples(i);
+        if (LatencySummary* summary = lone_summary(i))
+          *summary = LatencySummary::from_samples(v);
+        else if (!std::is_sorted(v.begin(), v.end()))
+          std::sort(v.begin(), v.end());
       },
       /*min_block=*/1);
-
-  // The overall summaries are those of the union of the class samples,
-  // merged from the now-sorted class vectors into one buffer. The merge
-  // is ascending, so from_samples skips its sort; and a sorted sequence
-  // is unique up to bit-equal values (no latency is -0.0), so the bytes
-  // are those of sorting the union. A lone class's summary already is
-  // the union's.
-  std::vector<double> all;
-  std::vector<std::span<const double>> runs;
-  const auto overall = [&](LatencySummary ClassStats::*summary,
-                           std::vector<double> ClassSamples::*samples) {
-    if (per_class.size() == 1) return out.classes[0].*summary;
-    runs.resize(per_class.size());
-    for (std::size_t c = 0; c < per_class.size(); ++c)
-      runs[c] = per_class[c].*samples;
-    all.clear();
-    all.reserve(out.completed);
-    merge_ascending(runs, all);
-    return LatencySummary::from_samples(all);
+  const std::span<const std::span<const double>> table = runs;
+  const std::size_t overall = class_count > 1 ? 3 : 0;  // largest first
+  const auto merge = [&](std::size_t i) {
+    if (i < overall) {
+      out.*kOverall[i] = LatencySummary::from_sorted_runs(
+          table.subspan(i * per_field, per_field));
+      return;
+    }
+    const std::size_t c = (i - overall) / 3;
+    const std::size_t f = (i - overall) % 3;
+    out.classes[c].*kClassSummary[f] = LatencySummary::from_sorted_runs(
+        table.subspan(f * per_field + c * engine_count, engine_count));
   };
-  out.wait = overall(&ClassStats::wait, &ClassSamples::wait);
-  out.service = overall(&ClassStats::service, &ClassSamples::service);
-  out.sojourn = overall(&ClassStats::sojourn, &ClassSamples::sojourn);
+  if (engine_count > 1)
+    parallel_for(0, overall + 3 * class_count, merge, /*min_block=*/1);
+  else
+    for (std::size_t i = 0; i < overall; ++i) merge(i);
+  if (overall == 0)
+    for (std::size_t f = 0; f < 3; ++f)
+      out.*kOverall[f] = out.classes[0].*kClassSummary[f];
 
   // Per node type (dispatch-result convention: busy fraction is averaged
   // over the nodes of the type).

@@ -70,31 +70,20 @@ double percentile_inplace(std::vector<double>& samples, double p) {
 }
 
 double percentile_sorted(std::span<const double> sorted, double p) {
-  require(!sorted.empty(), "percentile: no samples");
-  require(p >= 0.0 && p <= 100.0, "percentile: p out of [0, 100]");
+  const PercentileRank r = percentile_rank(sorted.size(), p);
   if (sorted.size() == 1) return sorted.front();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  return r.interpolate(sorted[r.lo], sorted[r.hi]);
 }
 
-void merge_ascending(std::span<const std::span<const double>> runs,
-                     std::vector<double>& out) {
-  std::vector<std::span<const double>> heads;
-  heads.reserve(runs.size());
-  for (const std::span<const double> run : runs)
-    if (!run.empty()) heads.push_back(run);
-  while (heads.size() > 1) {
-    const auto m = std::min_element(
-        heads.begin(), heads.end(),
-        [](const auto& a, const auto& b) { return a.front() < b.front(); });
-    out.push_back(m->front());
-    *m = m->subspan(1);
-    if (m->empty()) heads.erase(m);
-  }
-  if (!heads.empty()) out.insert(out.end(), heads[0].begin(), heads[0].end());
+PercentileRank percentile_rank(std::size_t n, double p) {
+  require(n > 0, "percentile: no samples");
+  require(p >= 0.0 && p <= 100.0, "percentile: p out of [0, 100]");
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
+  PercentileRank r;
+  r.lo = static_cast<std::size_t>(rank);
+  r.hi = std::min(r.lo + 1, n - 1);
+  r.frac = rank - static_cast<double>(r.lo);
+  return r;
 }
 
 P2Quantile::P2Quantile(double q) : q_(q) {

@@ -2,17 +2,22 @@
 // This binary replaces the global operator new with a counting one, so
 // a warm loop can be checked to allocate nothing at all: the DES
 // kernel's schedule/step cycle (inline callbacks in a recycled slot
-// arena, passing preconditions that build no message) and the token
-// bucket every admitted request consults.
+// arena, passing preconditions that build no message), the token
+// bucket every admitted request consults, and the latency summary
+// kernel every finalize task runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <vector>
 
 #include "hcep/des/simulator.hpp"
 #include "hcep/traffic/admission.hpp"
+#include "hcep/traffic/slo.hpp"
 #include "hcep/util/rng.hpp"
 
 namespace {
@@ -90,6 +95,33 @@ TEST(DesAlloc, TokenBucketCallsAllocateNothing) {
   EXPECT_GT(admitted, 0u);
   EXPECT_LT(admitted, static_cast<std::uint64_t>(kCountedCycles));
   EXPECT_EQ(news, 0u);
+}
+
+TEST(DesAlloc, StreamedSummariesAllocateNothing) {
+  // from_sorted_runs over 1-8 runs, the span lists of a sharded
+  // finalize, and from_samples of a sorted vector (one run).
+  Rng rng(20161017);
+  std::vector<std::vector<double>> runs(8);
+  for (auto& run : runs) {
+    for (int i = 0; i < 1000; ++i) run.push_back(rng.exponential(1.0));
+    std::sort(run.begin(), run.end());
+  }
+  const std::vector<std::span<const double>> views(runs.begin(), runs.end());
+  for (std::size_t k = 1; k <= views.size(); ++k) {
+    traffic::LatencySummary summary;
+    const std::uint64_t news = news_during([&] {
+      summary = traffic::LatencySummary::from_sorted_runs(
+          std::span(views).first(k));
+    });
+    EXPECT_EQ(news, 0u) << k << " runs";
+    EXPECT_EQ(summary.count, 1000 * k);
+  }
+  traffic::LatencySummary one;
+  EXPECT_EQ(news_during([&] {
+              one = traffic::LatencySummary::from_samples(runs[0]);
+            }),
+            0u);
+  EXPECT_EQ(one.count, 1000u);
 }
 
 }  // namespace

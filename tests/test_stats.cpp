@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <span>
 #include <vector>
 
 #include "hcep/util/error.hpp"
@@ -80,6 +79,8 @@ TEST(Percentile, Validation) {
   EXPECT_THROW((void)percentile(v, 101.0), PreconditionError);
   EXPECT_THROW((void)percentile_sorted(v, 101.0), PreconditionError);
   EXPECT_THROW((void)percentile_sorted(v, -0.5), PreconditionError);
+  EXPECT_THROW((void)percentile_rank(0, 50.0), PreconditionError);
+  EXPECT_THROW((void)percentile_rank(3, 100.5), PreconditionError);
 }
 
 TEST(Percentile, SortedInputNeedsNoSort) {
@@ -96,61 +97,6 @@ TEST(Percentile, SortedInputNeedsNoSort) {
   }
   const std::vector<double> one{42.0};
   EXPECT_EQ(percentile_sorted(one, 95.0), 42.0);
-}
-
-// merge_ascending against what it stands in for: std::sort of the
-// concatenated runs, compared element by element.
-std::vector<double> sorted_concatenation(
-    const std::vector<std::vector<double>>& runs) {
-  std::vector<double> all;
-  for (const auto& run : runs) all.insert(all.end(), run.begin(), run.end());
-  std::sort(all.begin(), all.end());
-  return all;
-}
-
-std::vector<double> merged(const std::vector<std::vector<double>>& runs) {
-  const std::vector<std::span<const double>> views(runs.begin(), runs.end());
-  std::vector<double> out;
-  merge_ascending(views, out);
-  return out;
-}
-
-TEST(MergeAscending, NoRunsAndEmptyRunsGiveNothing) {
-  EXPECT_TRUE(merged({}).empty());
-  EXPECT_TRUE(merged({{}, {}, {}}).empty());
-}
-
-TEST(MergeAscending, OneRunIsCopiedAndEmptyRunsAreSkipped) {
-  const std::vector<double> run = {0.5, 1.0, 1.0, 7.25};
-  EXPECT_EQ(merged({run}), run);
-  EXPECT_EQ(merged({{}, run, {}}), run);
-}
-
-TEST(MergeAscending, ThreeRunsSharingValuesEqualTheSortedConcatenation) {
-  const std::vector<std::vector<double>> runs = {
-      {0.0, 1.0, 1.0, 2.0, 5.0},
-      {1.0, 2.0, 2.0, 3.0},
-      {0.0, 1.0, 5.0, 5.0, 9.0, 11.0}};
-  EXPECT_EQ(merged(runs), sorted_concatenation(runs));
-
-  Rng rng(17);
-  std::vector<std::vector<double>> random_runs(3);
-  for (auto& run : random_runs) {
-    for (int i = 0; i < 200; ++i)
-      run.push_back(static_cast<double>(rng.uniform_int(40)) * 0.25);
-    std::sort(run.begin(), run.end());
-  }
-  random_runs[1].resize(37);  // unequal lengths
-  EXPECT_EQ(merged(random_runs), sorted_concatenation(random_runs));
-}
-
-TEST(MergeAscending, AppendsToTheOutput) {
-  const std::vector<double> a = {1.0, 3.0};
-  const std::vector<double> b = {2.0};
-  const std::vector<std::span<const double>> views = {a, b};
-  std::vector<double> out = {-1.0};
-  merge_ascending(views, out);
-  EXPECT_EQ(out, (std::vector<double>{-1.0, 1.0, 2.0, 3.0}));
 }
 
 TEST(P2Quantile, ExactBelowFiveSamples) {

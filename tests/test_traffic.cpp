@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,7 +307,9 @@ void expect_identical(const LatencySummary& a, const LatencySummary& b) {
   EXPECT_EQ(a.max.value(), b.max.value());
 }
 
-TEST(LatencySummaryTest, FromSamplesMatchesTheSortedCopyOracle) {
+/// Every input shape the summaries must reproduce: unsorted, ascending,
+/// descending, all ties, mostly ties, one and two samples, none.
+std::vector<std::vector<double>> oracle_inputs() {
   Rng rng(41);
   std::vector<double> random;
   for (int i = 0; i < 10007; ++i) random.push_back(rng.exponential(50.0));
@@ -315,16 +319,90 @@ TEST(LatencySummaryTest, FromSamplesMatchesTheSortedCopyOracle) {
   std::vector<double> mostly_zero(5000, 0.0);
   for (std::size_t i = 0; i < mostly_zero.size(); i += 97)
     mostly_zero[i] = rng.uniform01();
-  const std::vector<std::vector<double>> inputs = {
-      random,     ascending,         descending,
-      std::vector<double>(777, 0.125), mostly_zero,
-      {0.5},      {0.75, 0.25},      {}};
-  for (const std::vector<double>& in : inputs) {
+  return {random,     ascending,         descending,
+          std::vector<double>(777, 0.125), mostly_zero,
+          {0.5},      {0.75, 0.25},      {}};
+}
+
+TEST(LatencySummaryTest, FromSamplesMatchesTheSortedCopyOracle) {
+  for (const std::vector<double>& in : oracle_inputs()) {
     SCOPED_TRACE(in.size());
     std::vector<double> mine = in;
     expect_identical(LatencySummary::from_samples(mine),
                      sorted_copy_oracle(in));
   }
+}
+
+/// The summary of `runs`, each sorted ascending.
+LatencySummary summary_of_runs(const std::vector<std::vector<double>>& runs) {
+  const std::vector<std::span<const double>> views(runs.begin(), runs.end());
+  return LatencySummary::from_sorted_runs(views);
+}
+
+/// All of `runs` in one vector, unsorted.
+std::vector<double> concatenation(
+    const std::vector<std::vector<double>>& runs) {
+  std::vector<double> all;
+  for (const auto& run : runs) all.insert(all.end(), run.begin(), run.end());
+  return all;
+}
+
+TEST(LatencySummaryTest, FromSortedRunsMatchesTheSortedCopyOracle) {
+  // Each oracle input dealt into 1-8 sorted runs of uneven length: a
+  // run is drawn as the lesser of two uniform picks, so later runs get
+  // fewer values, and one run in the middle stays empty. The repeated
+  // values of the tie-heavy inputs land in several runs.
+  // 70 runs go past the heads the merge keeps on the stack.
+  Rng rng(43);
+  for (const std::vector<double>& in : oracle_inputs()) {
+    for (const std::size_t k : {1, 2, 3, 4, 5, 6, 7, 8, 70}) {
+      SCOPED_TRACE(std::to_string(in.size()) + " values in " +
+                   std::to_string(k) + " runs");
+      std::vector<std::vector<double>> runs(k);
+      const std::size_t empty = k >= 3 ? k / 2 : k;
+      for (const double v : in) {
+        std::size_t r = std::min(rng.uniform_int(k), rng.uniform_int(k));
+        if (r == empty) r = 0;
+        runs[r].push_back(v);
+      }
+      for (auto& run : runs) std::sort(run.begin(), run.end());
+      expect_identical(summary_of_runs(runs), sorted_copy_oracle(in));
+    }
+  }
+}
+
+// The k-way merge cases, with the inputs of the merge helper the
+// streamed summaries replaced.
+
+TEST(LatencySummaryTest, FromNoRunsOrEmptyRunsIsEmpty) {
+  expect_identical(summary_of_runs({}), LatencySummary{});
+  expect_identical(summary_of_runs({{}, {}, {}}), LatencySummary{});
+}
+
+TEST(LatencySummaryTest, OneRunAmongEmptyRunsIsThatRunsSummary) {
+  const std::vector<double> run = {0.5, 1.0, 1.0, 7.25};
+  expect_identical(summary_of_runs({run}), sorted_copy_oracle(run));
+  expect_identical(summary_of_runs({{}, run, {}}), sorted_copy_oracle(run));
+}
+
+TEST(LatencySummaryTest, ThreeRunsSharingValuesSummarizeTheirUnion) {
+  const std::vector<std::vector<double>> runs = {
+      {0.0, 1.0, 1.0, 2.0, 5.0},
+      {1.0, 2.0, 2.0, 3.0},
+      {0.0, 1.0, 5.0, 5.0, 9.0, 11.0}};
+  expect_identical(summary_of_runs(runs),
+                   sorted_copy_oracle(concatenation(runs)));
+
+  Rng rng(17);
+  std::vector<std::vector<double>> random_runs(3);
+  for (auto& run : random_runs) {
+    for (int i = 0; i < 200; ++i)
+      run.push_back(static_cast<double>(rng.uniform_int(40)) * 0.25);
+    std::sort(run.begin(), run.end());
+  }
+  random_runs[1].resize(37);  // unequal lengths
+  expect_identical(summary_of_runs(random_runs),
+                   sorted_copy_oracle(concatenation(random_runs)));
 }
 
 std::vector<TrafficClass> three_classes() {
@@ -480,19 +558,204 @@ TEST(TrafficSharded, SingleShardOptionMatchesDefaultPath) {
 }
 
 TEST(TrafficSharded, ReplayTraceExhaustsAcrossShards) {
-  // The generator runs dry before options.requests: shard 0 replays
-  // arrivals 0 and 2, shard 1 arrival 1, and the records interleave.
+  // The generator runs dry before options.requests, so every shard's
+  // slice is planned above what it gets: the trace's 3 arrivals fill 2
+  // and 1 of the 5 + 5 planned at two shards, and 1, 1, 1, 0 of the
+  // 3, 3, 2, 2 planned at four. The records still interleave.
   const auto arrivals = make_replay(
       {Seconds{0.5}, Seconds{1.0}, Seconds{1.5}}, /*loop=*/false);
   TrafficOptions options;
   options.requests = 10;
-  options.shards = 2;
   options.record_requests = true;
-  const auto r = simulate_traffic(model::make_a9_k10_cluster(1, 1),
-                                  one_class(), *arrivals, options);
-  EXPECT_EQ(r.offered, 3u);
-  EXPECT_EQ(r.completed, 3u);
-  expect_records_join(r);
+  for (std::size_t shards = 2; shards <= 4; ++shards) {
+    SCOPED_TRACE(shards);
+    options.shards = shards;
+    const auto r = simulate_traffic(model::make_a9_k10_cluster(2, 2),
+                                    one_class(), *arrivals, options);
+    EXPECT_EQ(r.offered, 3u);
+    EXPECT_EQ(r.completed, 3u);
+    expect_records_join(r);
+  }
+}
+
+/// Every result byte a run can report: the document, the control
+/// summary, the timeline and the request records.
+std::string full_document(const TrafficResult& r) {
+  std::string bytes = r.to_json().dump() + r.control.to_json().dump() +
+                      r.timeline.to_json().dump();
+  for (const RequestRecord& rec : r.requests) {
+    bytes += ' ' + std::to_string(rec.index) + ' ' +
+             std::to_string(rec.cls) + ' ' + std::to_string(rec.failed) +
+             ' ' + JsonValue::number(rec.sojourn.value()).dump();
+  }
+  return bytes;
+}
+
+TEST(TrafficSharded, PipelinedRunsMatchFromAnyThread) {
+  // Shards on the pool replay their slices while the stream is still
+  // being produced; inline shards (serial, or under a pool worker) get it
+  // whole first. Either way a run gives the bytes of its serial twin —
+  // from the main thread, from inside pool tasks and from two threads
+  // at once, each with its own producer.
+  const auto cluster = model::make_a9_k10_cluster(4, 4);
+  const auto classes = three_classes();
+  const double rate = 0.7 * cluster_capacity_per_s(cluster, classes);
+  for (std::size_t shards = 2; shards <= 4; ++shards) {
+    SCOPED_TRACE(shards);
+    const auto run = [&](bool parallel) {
+      TrafficOptions options;
+      options.requests = 30000;  // more than one publication per shard
+      options.seed = 23;
+      options.shards = shards;
+      options.parallel_shards = parallel;
+      options.record_requests = true;
+      return full_document(
+          simulate_traffic(cluster, classes, *make_poisson(rate), options));
+    };
+    const std::string expected = run(false);
+    EXPECT_EQ(run(true), expected);
+    std::vector<std::string> nested(4);
+    parallel_for(
+        0, nested.size(), [&](std::size_t i) { nested[i] = run(true); },
+        /*min_block=*/1);
+    for (const std::string& doc : nested) EXPECT_EQ(doc, expected);
+    std::string a;
+    std::string b;
+    std::thread ta([&] { a = run(true); });
+    std::thread tb([&] { b = run(true); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(a, expected);
+    EXPECT_EQ(b, expected);
+  }
+}
+
+struct SourceFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Poisson arrivals whose draw number `fail_at` (from a fresh clone)
+/// throws, as a generator reading a corrupt trace might.
+class ThrowingArrivals final : public ArrivalProcess {
+ public:
+  explicit ThrowingArrivals(std::uint64_t fail_at) : fail_at_(fail_at) {}
+  Seconds next(Seconds now, Rng& rng) override {
+    if (draws_++ == fail_at_) throw SourceFailure("arrival source failed");
+    return now + Seconds{rng.exponential(500.0)};
+  }
+  double mean_rate_per_s() const override { return 500.0; }
+  std::string name() const override { return "throwing"; }
+  std::unique_ptr<ArrivalProcess> clone() const override {
+    return std::make_unique<ThrowingArrivals>(fail_at_);
+  }
+
+ private:
+  std::uint64_t fail_at_;
+  std::uint64_t draws_ = 0;
+};
+
+TEST(TrafficSharded, ThrowingGeneratorFailsCleanly) {
+  // A producer that throws ends the shards' wait and the run rethrows
+  // its exception, whether the stream fails before the first
+  // publication, after some, or on its last draw; the next run is whole.
+  const auto cluster = model::make_a9_k10_cluster(4, 2);
+  TrafficOptions options;
+  options.requests = 40000;
+  options.shards = 3;
+  options.record_requests = true;
+  for (const std::uint64_t fail_at : {0ULL, 5ULL, 3ULL * 4096 + 7, 39999ULL}) {
+    for (const bool parallel : {true, false}) {
+      SCOPED_TRACE("draw " + std::to_string(fail_at) +
+                   (parallel ? ", parallel" : ", serial"));
+      options.parallel_shards = parallel;
+      EXPECT_THROW((void)simulate_traffic(cluster, one_class(),
+                                          ThrowingArrivals(fail_at), options),
+                   SourceFailure);
+      const auto r = simulate_traffic(cluster, one_class(),
+                                      *make_poisson(500.0), options);
+      EXPECT_EQ(r.completed, options.requests);
+    }
+  }
+}
+
+TEST(TrafficSharded, RandomizedOptionsMatchSerialOrFailCleanly) {
+  // Seeded draws over shard count, classes, generator, admission,
+  // retries, controller, stream and records. Each draw is rejected
+  // with a PreconditionError or gives its serial twin's bytes and
+  // accounts for every request. Horizons stay within a few dozen stream
+  // windows and control periods.
+  Rng rng(20261018);
+  const auto pick = [&rng](std::uint64_t n) { return rng.uniform_int(n); };
+  int matched = 0, rejected = 0;
+  for (int iter = 0; iter < 48; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    try {
+      const auto a9 = static_cast<unsigned>(pick(4));
+      const auto k10 = 1 + static_cast<unsigned>(pick(3));
+      const auto cluster = model::make_a9_k10_cluster(a9, k10);
+      std::vector<TrafficClass> classes = three_classes();
+      classes.resize(1 + pick(3));
+      if (pick(2) == 0) classes[0].slo = SloTarget{Seconds{0.05}, 0.95};
+      TrafficOptions options;
+      options.requests = pick(1500);  // 0 is rejected
+      options.seed = 1 + pick(1000);
+      options.shards = 1 + pick(a9 + k10);
+      const double rate = (0.3 + 0.2 * static_cast<double>(pick(4))) *
+                          cluster_capacity_per_s(cluster, classes);
+      const Seconds span{
+          static_cast<double>(std::max<std::uint64_t>(options.requests, 1)) /
+          rate};
+      std::unique_ptr<ArrivalProcess> gen;
+      switch (pick(5)) {
+        case 0: gen = make_poisson(rate); break;
+        case 1:
+          gen = make_bursty(0.5 * rate, span * 0.2, 2.0 * rate, span * 0.05);
+          break;
+        case 2: gen = make_diurnal(rate, 0.8, span * 0.5); break;
+        case 3: gen = make_deterministic(rate); break;
+        default: {
+          // Short and not looping, so it runs dry; empty on some draws,
+          // which make_replay rejects.
+          std::vector<Seconds> trace;
+          for (std::uint64_t k = 0, len = pick(4) * 5; k < len; ++k)
+            trace.push_back(Seconds{static_cast<double>(k) / rate});
+          gen = make_replay(std::move(trace), /*loop=*/false);
+        }
+      }
+      if (pick(2) == 0) {
+        options.admission.bucket_rate_per_s = 0.8 * rate;
+        options.admission.bucket_burst = 5.0;
+        options.admission.max_queue_depth = 1 + pick(4);
+      }
+      if (pick(2) == 0) {
+        options.retry.max_attempts = 3;
+        options.retry.base_backoff = Seconds{2.0 / rate};
+      }
+      switch (pick(3)) {
+        case 0: options.control.controller = control::make_frozen(); break;
+        case 1: options.control.controller = control::make_power_gate(); break;
+        default: break;
+      }
+      options.control.period = span * 0.05;
+      options.control.record_power_trace = pick(2) == 0;
+      if (pick(2) == 0) options.stream.window = span * (1.0 / 16.0);
+      options.record_requests = pick(2) == 0;
+
+      const TrafficResult r = simulate_traffic(cluster, classes, *gen, options);
+      TrafficOptions serial = options;
+      serial.parallel_shards = false;
+      const TrafficResult twin =
+          simulate_traffic(cluster, classes, *gen, serial);
+      EXPECT_EQ(full_document(r), full_document(twin));
+      EXPECT_EQ(r.offered, r.completed + r.failed);
+      ++matched;
+    } catch (const PreconditionError&) {
+      ++rejected;
+    }
+  }
+  // Both outcomes occur: zero requests and empty traces are rejected.
+  EXPECT_GT(matched, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Traffic, PooledSummariesMatchFromAnyThread) {
