@@ -109,8 +109,7 @@ void BM_SimulateTraffic(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-// Wall-clock timed: the latency summaries at the end of each run go to
-// the global thread pool, which the main thread's CPU timer misses.
+// Wall-clock timed: BENCH_traffic.json gates the /real_time rows.
 BENCHMARK(BM_SimulateTraffic)->Arg(1 << 14)->Arg(1 << 17)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 

@@ -6,6 +6,7 @@
 #include "hcep/des/simulator.hpp"
 #include "hcep/obs/obs.hpp"
 #include "hcep/obs/power_probe.hpp"
+#include "hcep/obs/stream.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/util/rng.hpp"
 #include "hcep/util/stats.hpp"
@@ -87,7 +88,7 @@ struct SimCtx {
   bool server_busy = false;
   RunningStats service_stats;
   RunningStats response_stats;
-  P2Quantile p95{0.95};
+  obs::stream::QuantileSketch response_sketch;
   Seconds busy_time{};
 
   SimCtx(const model::TimeEnergyModel& model, const SimOptions& opts,
@@ -221,8 +222,7 @@ struct SimCtx {
     service_stats.add(service.value());
     const double response = (sim.now() - arrival).value();
     response_stats.add(response);
-    p95.add(response);
-    out.response_samples.push_back(response);
+    response_sketch.insert(response);
     const auto& demand_groups = m.cluster().groups;
     for (std::size_t i = 0; i < out.counters.size(); ++i) {
       const auto& d = m.workload().demand_for(demand_groups[i].spec.name);
@@ -311,7 +311,7 @@ SimResult simulate(const model::TimeEnergyModel& m, const SimOptions& options) {
   if (out.jobs_completed > 0) {
     out.mean_service = Seconds{ctx.service_stats.mean()};
     out.mean_response = Seconds{ctx.response_stats.mean()};
-    out.p95_response = Seconds{ctx.p95.value()};
+    out.p95_response = Seconds{ctx.response_sketch.quantile(0.95)};
   }
   return out;
 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <span>
+#include <optional>
 #include <utility>
 
 #include "hcep/obs/obs.hpp"
@@ -81,15 +81,16 @@ struct Routed {
 };
 
 /// Merges the origin streams into the router and deals the placements
-/// to their sites. The router and its decision log live only here, so
-/// they are gone before the site simulations start.
+/// to their sites. The router and its decision log live only here, and
+/// go once the log is split into the sites' runs.
 Routed route_fleet(std::vector<std::vector<traffic::Arrival>> streams,
                    const std::vector<Site>& sites,
                    const hw::InterSiteNetwork& network,
                    const std::vector<traffic::TrafficClass>& classes,
-                   const RouterOptions& options, bool pooled) {
+                   const RouterOptions& options) {
   const std::size_t n = sites.size();
-  GlobalRouter router(sites, network, classes, options);
+  std::optional<GlobalRouter> router(std::in_place, sites, network, classes,
+                                     options);
   Routed out;
   out.landings.resize(n);
   out.transit.resize(n);
@@ -100,7 +101,7 @@ Routed route_fleet(std::vector<std::vector<traffic::Arrival>> streams,
     out.routes[0][0] = out.offered;
     return out;
   }
-  router.reserve(out.offered);
+  router->reserve(out.offered);
   // k-way merge by time; ties go to the lower origin. Each origin
   // stream is nondecreasing, so this is the stable sort of their
   // concatenation.
@@ -112,40 +113,62 @@ Routed route_fleet(std::vector<std::vector<traffic::Arrival>> streams,
       if (o == n || streams[j][head[j]].t < streams[o][head[o]].t) o = j;
     }
     const traffic::Arrival& a = streams[o][head[o]++];
-    const std::uint32_t target = router.route(o, a.cls, a.t).target;
+    const std::uint32_t target = router->route(o, a.cls, a.t).target;
     ++out.routes[o][target];
     if (o != target) ++out.cross_site;
   }
   streams = {};  // routed: release the origin streams
 
-  // One task per site deals itself its placements from the decision
-  // log, in fleet order, each landing at t + transit, and sorts them by
-  // landing time, since differing transits can reorder landings. The
-  // sort is stable: landings at the same instant keep fleet order.
-  for_each_index(n, pooled, [&](std::size_t s) {
-    struct Landing {
-      traffic::Arrival arrival;
-      Seconds transit;
-    };
+  // Deal each site its placements, each landing at t + transit, in
+  // landing-time order. One pass over the decision log splits it into
+  // runs, one per (site, origin) pair, of the pair's placements (instant
+  // and class) in fleet order. A run shares the router's one transit for
+  // its pair and its instants ascend, so it is already sorted, and a
+  // site's landings are the merge of its runs. Equal landings keep fleet
+  // order, as a stable sort would: the fleet orders placements by
+  // instant, then origin. This runs on the calling thread, so its memory
+  // peak does not depend on thread timing; each site's runs are freed
+  // once merged. Runs and their transits sit at site * n + origin.
+  std::vector<std::vector<traffic::Arrival>> runs(n * n);
+  std::vector<Seconds> transit(n * n);
+  for (std::size_t s = 0; s < n; ++s)
+    for (std::size_t o = 0; o < n; ++o)
+      runs[s * n + o].reserve(out.routes[o][s]);
+  for (const Assignment& a : router->assignments()) {
+    const std::size_t r = a.target * n + a.origin;
+    runs[r].push_back(traffic::Arrival{a.t, a.cls});
+    transit[r] = a.transit;
+  }
+  router.reset();  // split: release the decision log
+  std::vector<std::size_t> at(n);  // each run's cursor
+  for (std::size_t s = 0; s < n; ++s) {
+    std::vector<traffic::Arrival>* const run = &runs[s * n];
+    const Seconds* const tr = &transit[s * n];
     std::uint64_t count = 0;
-    for (std::size_t o = 0; o < n; ++o) count += out.routes[o][s];
-    std::vector<Landing> landings;
-    landings.reserve(count);
-    for (const Assignment& a : router.assignments())
-      if (a.target == s)
-        landings.push_back(
-            Landing{traffic::Arrival{a.t + a.transit, a.cls}, a.transit});
-    std::stable_sort(landings.begin(), landings.end(),
-                     [](const Landing& a, const Landing& b) {
-                       return a.arrival.t < b.arrival.t;
-                     });
+    for (std::size_t o = 0; o < n; ++o) count += run[o].size();
     out.landings[s].reserve(count);
     out.transit[s].reserve(count);
-    for (const Landing& l : landings) {
-      out.landings[s].push_back(l.arrival);
-      out.transit[s].push_back(l.transit);
+    std::fill(at.begin(), at.end(), 0);
+    for (;;) {
+      std::size_t o = n;  // the run with the earliest next landing
+      Seconds landing{}, t{};
+      for (std::size_t j = 0; j < n; ++j) {
+        if (at[j] == run[j].size()) continue;
+        const Seconds tj = run[j][at[j]].t;
+        const Seconds lj = tj + tr[j];
+        if (o == n || lj < landing || (lj == landing && tj < t)) {
+          o = j;
+          landing = lj;
+          t = tj;
+        }
+      }
+      if (o == n) break;
+      out.landings[s].push_back(
+          traffic::Arrival{landing, run[o][at[o]++].cls});
+      out.transit[s].push_back(tr[o]);
     }
-  });
+    for (std::size_t o = 0; o < n; ++o) run[o] = {};
+  }
   return out;
 }
 
@@ -194,7 +217,7 @@ JsonValue FleetClassLedger::to_json() const {
 
 JsonValue FleetReport::to_json() const {
   JsonValue o = JsonValue::object();
-  o.set("schema_version", JsonValue::number(std::int64_t{1}));
+  o.set("schema_version", JsonValue::number(std::int64_t{2}));
   o.set("router_policy", JsonValue::string(router_policy));
   o.set("seed", JsonValue::number(static_cast<std::int64_t>(seed)));
   o.set("horizon_s", JsonValue::number(horizon.value()));
@@ -256,15 +279,11 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
   // deal each site its landings.
   Routed routed =
       route_fleet(generate_arrivals(sites, classes, options, pooled), sites,
-                  network, classes, options.router, pooled);
+                  network, classes, options.router);
 
   // Phase B: one task per site replays the site's landings on its own
-  // cluster, a deterministic single-shard simulation, then builds and
-  // sorts the site's per-class end-to-end runs (transit + sojourn of
-  // each completed request).
+  // cluster, a deterministic single-shard simulation.
   std::vector<traffic::TrafficResult> results(n);
-  std::vector<std::vector<std::vector<double>>> e2e_runs(
-      n, std::vector<std::vector<double>>(classes.size()));
   const auto run_site = [&](std::size_t s) {
     traffic::TrafficOptions site_options;
     site_options.policy = options.policy;
@@ -283,15 +302,6 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
     results[s] = traffic::simulate_traffic(
         sites[s].cluster, classes, routed.landings[s], site_options);
     routed.landings[s] = {};
-    if (solo) return;
-    std::vector<std::vector<double>>& runs = e2e_runs[s];
-    for (std::size_t c = 0; c < classes.size(); ++c)
-      runs[c].reserve(results[s].classes[c].completed);
-    for (const traffic::RequestRecord& rec : results[s].requests)
-      if (rec.failed == 0)
-        runs[rec.cls].push_back(
-            (routed.transit[s][rec.index] + rec.sojourn).value());
-    for (std::vector<double>& run : runs) std::sort(run.begin(), run.end());
   };
   for_each_index(n, pooled, run_site);
 
@@ -389,11 +399,8 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
   // Per-class end-to-end ledgers: each site's terminal request records,
   // joined to the site's transit column, judged on transit + sojourn.
   // Sites are folded in index order, records in arrival order — a fixed
-  // fold order, so the transit sums are deterministic. Each class's
-  // summary is streamed from the merge of its sorted site runs; a sorted
-  // sequence is unique up to bit-equal values (no sample is -0.0:
-  // transit and sojourn are both >= 0), so the bytes are those of
-  // sorting the joined samples.
+  // fold order, so the transit sums and the latency sketches are
+  // deterministic.
   report.classes.resize(classes.size());
   for (std::size_t c = 0; c < classes.size(); ++c) {
     FleetClassLedger& ledger = report.classes[c];
@@ -415,6 +422,7 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
     }
   } else {
     std::vector<Seconds> transit_sum(classes.size());
+    std::vector<traffic::LatencySketch> e2e(classes.size());
     for (std::size_t s = 0; s < n; ++s) {
       for (const traffic::RequestRecord& rec :
            report.sites[s].result.requests) {
@@ -426,19 +434,18 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
         ++ledger.completed;
         const Seconds tr = routed.transit[s][rec.index];
         transit_sum[rec.cls] += tr;
+        e2e[rec.cls].add((tr + rec.sojourn).value());
         if (ledger.slo.enabled() && tr + rec.sojourn > ledger.slo.latency)
           ++ledger.slo_violations;
       }
     }
-    std::vector<std::span<const double>> runs(n);
     for (std::size_t c = 0; c < classes.size(); ++c) {
       FleetClassLedger& ledger = report.classes[c];
       if (ledger.completed > 0)
         ledger.mean_transit =
             Seconds{transit_sum[c].value() /
                     static_cast<double>(ledger.completed)};
-      for (std::size_t s = 0; s < n; ++s) runs[s] = e2e_runs[s][c];
-      ledger.e2e = traffic::LatencySummary::from_sorted_runs(runs);
+      ledger.e2e = e2e[c].summary();
     }
   }
 

@@ -62,12 +62,10 @@ struct SimResult {
 
   Seconds mean_service{};    ///< realized per-job service time
   Seconds mean_response{};
-  Seconds p95_response{};
+  Seconds p95_response{};    ///< nearest rank, within a sketch's 2^-8 bound
   double measured_utilization = 0.0;  ///< busy time / window
 
   std::vector<GroupCounters> counters;
-  /// Full response-time samples (seconds) for exact percentiles.
-  std::vector<double> response_samples;
 };
 
 /// Simulates `model`'s cluster serving its workload at the requested

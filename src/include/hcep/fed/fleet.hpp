@@ -8,11 +8,10 @@
 // router's decision log and sorts them by landing time; then one task
 // per site replays them through the assigned-arrival simulate_traffic
 // overload (one event loop per site — the fleet tier owns all
-// cross-site parallelism) and sorts the site's end-to-end latencies. A
-// serial fold turns the per-site results into one FleetReport: fleet
-// totals, a routes matrix, per-class END-TO-END latency ledgers that
-// include WAN transit, and time-of-use energy cost and carbon ledgers
-// integrated against each site's curves. Site runs are unobserved: they
+// cross-site parallelism). A serial fold turns the per-site results into
+// one FleetReport: fleet totals, a routes matrix, per-class END-TO-END
+// latency ledgers that include WAN transit, and time-of-use energy cost
+// and carbon ledgers integrated against each site's curves. Site runs are unobserved: they
 // report into neither the caller's obs::Observer nor the global one.
 //
 // Determinism contract: for a fixed (scenario, FleetOptions::seed) the

@@ -3,10 +3,11 @@
 // Generated arrivals (traffic::ArrivalProcess) flow through admission
 // control (traffic::admission) into the heterogeneity-aware dispatcher
 // policies of hcep::cluster, executing on the paper's node models over
-// the hcep::des kernel. Every request's exact queue-wait, service and
-// sojourn times are recorded — p50/p95/p99 are order statistics, not
-// estimates — together with full energy accounting (idle floor +
-// per-request dynamic energy) and per-class SLO ledgers.
+// the hcep::des kernel. Every request's queue-wait, service and sojourn
+// times are folded into bounded-memory latency sketches as it completes
+// — exact count, sum and max; nearest-rank p50/p95/p99 within the
+// sketch's proven relative bound — together with full energy accounting
+// (idle floor + per-request dynamic energy) and per-class SLO ledgers.
 //
 // The keystone validation: with one node, one class and Poisson
 // arrivals, this simulator IS an M/D/1 queue, and its measured mean wait
@@ -81,8 +82,6 @@ struct TrafficOptions {
   std::size_t shards = 1;
   /// Run shards concurrently on the global thread pool (identical
   /// results either way; turn off to debug under a deterministic stack).
-  /// Governs shard execution only: the latency summaries at the end of
-  /// every run use the pool either way, with identical results.
   bool parallel_shards = true;
   /// Closed-loop control plane (hcep::control). Default-constructed =
   /// open loop: no controller, no ticks, the classic instruction stream.
@@ -104,7 +103,7 @@ struct TrafficOptions {
   bool record_requests = false;
 };
 
-/// Aggregate ledger plus exact latency summaries of one traffic run.
+/// Aggregate ledger plus latency summaries of one traffic run.
 ///
 /// Timing semantics: `wait` is queue time of admitted attempts (service
 /// start minus attempt arrival), `service` is execution time, and

@@ -1,18 +1,22 @@
 // Service-level-objective accounting for request-level runs.
 //
 // An SloTarget states the contract ("the 95th percentile of sojourn time
-// stays below 200 ms"); LatencySummary condenses exact per-request
-// samples into order-statistic percentiles (no streaming estimator —
-// the simulator records every request, so p50/p95/p99 are exact); and
-// ClassStats carries the full per-class ledger: offered vs admitted vs
-// shed vs completed, retries, and per-request SLO violations.
+// stays below 200 ms"); a LatencySketch condenses latencies as requests
+// complete, in bounded memory, and LatencySummary is what it reports:
+// the exact count, sum-based mean and max plus nearest-rank
+// p50/p95/p99, each within the sketch's proven relative bound `epsilon`
+// of the exact order statistic; and ClassStats carries the full
+// per-class ledger: offered vs admitted vs shed vs completed, retries,
+// and per-request SLO violations.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
-#include <vector>
 
+#include "hcep/obs/stream.hpp"
 #include "hcep/util/json.hpp"
 #include "hcep/util/units.hpp"
 
@@ -27,7 +31,11 @@ struct SloTarget {
   [[nodiscard]] bool enabled() const { return latency.value() > 0.0; }
 };
 
-/// Order-statistic condensation of a latency sample set.
+/// Condensation of a latency sample set. `count` and `max` are exact and
+/// `mean` is the plain sum over the count. p50/p95/p99 follow the
+/// nearest-rank convention: for the order statistic x at rank
+/// ceil(q * count), each lies within epsilon * x of x, and none exceeds
+/// `max`.
 struct LatencySummary {
   std::uint64_t count = 0;
   Seconds mean{};
@@ -35,24 +43,39 @@ struct LatencySummary {
   Seconds p95{};
   Seconds p99{};
   Seconds max{};
+  /// Proven relative bound of the percentiles (0 when default-built).
+  double epsilon = 0.0;
 
-  /// Exact percentiles of `samples_s` (seconds). Sorts the vector in
-  /// place, once (not at all when it is already ascending), then takes
-  /// from_sorted_runs of that one run.
+  /// Summary of `samples_s` (seconds): adds them to a LatencySketch in
+  /// order, then summarizes it.
   [[nodiscard]] static LatencySummary from_samples(
-      std::vector<double>& samples_s);
-
-  /// Exact summary of the union of ascending `runs` (seconds), streamed
-  /// from their k-way merge: sums in merged order and keeps only the six
-  /// order statistics p50/p95/p99 interpolate between, plus the last
-  /// value. No buffer, and no allocation for up to 64 runs.
-  /// The bytes depend only on the multiset of samples: a sorted sequence
-  /// is unique up to equal values, which are bit-equal unless one is
-  /// -0.0, so a tie may be taken from any run.
-  [[nodiscard]] static LatencySummary from_sorted_runs(
-      std::span<const std::span<const double>> runs);
+      std::span<const double> samples_s);
 
   [[nodiscard]] JsonValue to_json() const;
+};
+
+/// Latencies folded in as they arrive: a QuantileSketch at its default
+/// bound (2^-8, raised only if the values span more octaves than its
+/// bucket cap holds) plus the exact sum and max. Memory stays bounded
+/// however many values are added, and merging sketches gives the
+/// percentiles, count and max of adding their union to one sketch; only
+/// the mean moves, with the order of the sum.
+class LatencySketch {
+ public:
+  void add(double seconds) {
+    sketch_.insert(seconds);
+    sum_ += seconds;
+    max_ = std::max(max_, seconds);
+  }
+  void merge(const LatencySketch& other);
+
+  [[nodiscard]] std::uint64_t count() const { return sketch_.count(); }
+  [[nodiscard]] LatencySummary summary() const;
+
+ private:
+  obs::stream::QuantileSketch sketch_;
+  double sum_ = 0.0;
+  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /// Per-class request ledger. Conservation: offered = completed + failed +

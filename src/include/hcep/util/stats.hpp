@@ -1,6 +1,5 @@
 // Online and batch statistics used by the simulator's measurement layer:
-// Welford running moments, exact percentiles from samples and the
-// P-squared streaming quantile estimator.
+// Welford running moments and exact percentiles from samples.
 #pragma once
 
 #include <cstddef>
@@ -43,44 +42,5 @@ class RunningStats {
 /// any number of percentiles.
 [[nodiscard]] double percentile_sorted(std::span<const double> sorted,
                                        double p);
-
-/// Where percentile `p` of `n` ascending samples falls: between the
-/// samples at ranks `lo` and `hi`, `frac` of the way. The one formula
-/// percentile_sorted and traffic::LatencySummary share, so a caller that
-/// visits the samples without holding them reads the same two values.
-struct PercentileRank {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  double frac = 0.0;
-
-  [[nodiscard]] double interpolate(double at_lo, double at_hi) const {
-    return at_lo + frac * (at_hi - at_lo);
-  }
-};
-
-/// Rank of percentile `p` (in [0, 100]) among `n` > 0 samples.
-[[nodiscard]] PercentileRank percentile_rank(std::size_t n, double p);
-
-/// P-squared (P2) streaming quantile estimator (Jain & Chlamtac, 1985).
-/// Tracks one quantile with O(1) memory; the cluster simulator uses it for
-/// 95th-percentile response times over long runs.
-class P2Quantile {
- public:
-  /// `q` in (0, 1), e.g. 0.95 for the 95th percentile.
-  explicit P2Quantile(double q);
-
-  void add(double x);
-  [[nodiscard]] std::size_t count() const { return count_; }
-  /// Current estimate; exact until 5 samples have arrived.
-  [[nodiscard]] double value() const;
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  double heights_[5] = {};
-  double positions_[5] = {};
-  double desired_[5] = {};
-  double increments_[5] = {};
-};
 
 }  // namespace hcep

@@ -7,7 +7,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <span>
 #include <thread>
 #include <utility>
 
@@ -198,11 +197,11 @@ std::vector<double> cumulative_weights(
   return cumulative;
 }
 
-/// An engine's latency sample store: every completion's wait, service
-/// and sojourn, kept per class, plus the class's ledger counters. The
-/// run's summaries are streamed from the engines' sorted vectors.
+/// An engine's per-class latency sketches (every completion's wait,
+/// service and sojourn) plus the class's ledger counters. The run's
+/// summaries merge the engines' sketches.
 struct ClassSamples {
-  std::vector<double> wait, service, sojourn;
+  LatencySketch wait, service, sojourn;
   std::uint64_t offered = 0, admitted = 0, shed = 0, retries = 0,
                 completed = 0, failed = 0, slo_violations = 0;
   Joules dynamic_energy{};
@@ -1073,9 +1072,9 @@ class Engine final : public control::Actuator {
     per_class_[cls].dynamic_energy += joules;
 
     const Seconds sojourn = sim_.now() - first_arrival;
-    per_class_[cls].wait.push_back(wait.value());
-    per_class_[cls].service.push_back(service.value());
-    per_class_[cls].sojourn.push_back(sojourn.value());
+    per_class_[cls].wait.add(wait.value());
+    per_class_[cls].service.add(service.value());
+    per_class_[cls].sojourn.add(sojourn.value());
     ++completed;
     ++per_class_[cls].completed;
     if (options_.record_requests)
@@ -1457,13 +1456,22 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
   if (out.completed > 0)
     out.energy_per_request = out.energy / static_cast<double>(out.completed);
 
-  const std::size_t class_count = classes.size();
-  out.classes.resize(class_count);
-  for (std::size_t s = 0; s < class_count; ++s) {
+  // The latency summaries: each class merges its engines' sketches in
+  // engine order, and the overall ones merge the classes in class order.
+  constexpr LatencySketch ClassSamples::*kSketch[3] = {
+      &ClassSamples::wait, &ClassSamples::service, &ClassSamples::sojourn};
+  constexpr LatencySummary ClassStats::*kClassSummary[3] = {
+      &ClassStats::wait, &ClassStats::service, &ClassStats::sojourn};
+  constexpr LatencySummary TrafficResult::*kOverall[3] = {
+      &TrafficResult::wait, &TrafficResult::service, &TrafficResult::sojourn};
+  LatencySketch overall[3];
+  out.classes.resize(classes.size());
+  for (std::size_t s = 0; s < classes.size(); ++s) {
     ClassStats& st = out.classes[s];
     st.name = classes[s].workload.name;
     st.slo = classes[s].slo;
     Joules class_dynamic{0.0};
+    LatencySketch merged[3];
     for (auto& e : engines) {
       const ClassSamples& src = e->per_class()[s];
       st.offered += src.offered;
@@ -1474,6 +1482,11 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
       st.failed += src.failed;
       st.slo_violations += src.slo_violations;
       class_dynamic += src.dynamic_energy;
+      for (std::size_t f = 0; f < 3; ++f) merged[f].merge(src.*kSketch[f]);
+    }
+    for (std::size_t f = 0; f < 3; ++f) {
+      st.*kClassSummary[f] = merged[f].summary();
+      overall[f].merge(merged[f]);
     }
     if (st.completed > 0 && out.completed > 0) {
       // Shared energy attributed by completion share, dynamic exactly.
@@ -1484,70 +1497,8 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
           (idle_share + class_dynamic) / static_cast<double>(st.completed);
     }
   }
-
-  // The latency summaries; no task allocates. First every engine's wait,
-  // service and sojourn vector is sorted in place: engines x classes x 3
-  // tasks on the global pool (inline when this run already sits on a
-  // pool worker, as a fed site does). A lone engine's vector holds its
-  // whole class, so its task takes the class summary too. Then each
-  // summary over several runs is streamed from their merge: a class's
-  // over the engines, and in a multi-class run the overall ones over
-  // every class and engine. Those merges are pool tasks when there are
-  // several engines; a lone engine's overall merges run here, so a
-  // one-engine run needs one round of pool tasks. The runs sit in one
-  // table, by field and then class, so a class's runs are a slice of its
-  // field's overall list. A lone class's summaries already are the run's.
-  constexpr std::vector<double> ClassSamples::*kSamples[3] = {
-      &ClassSamples::wait, &ClassSamples::service, &ClassSamples::sojourn};
-  constexpr LatencySummary ClassStats::*kClassSummary[3] = {
-      &ClassStats::wait, &ClassStats::service, &ClassStats::sojourn};
-  constexpr LatencySummary TrafficResult::*kOverall[3] = {
-      &TrafficResult::wait, &TrafficResult::service, &TrafficResult::sojourn};
-  const std::size_t engine_count = engines.size();
-  const std::size_t per_field = class_count * engine_count;
-  const auto samples = [&](std::size_t i) -> std::vector<double>& {
-    return engines[i % engine_count]->per_class()[i % per_field /
-                                                  engine_count].*
-           kSamples[i / per_field];
-  };
-  // The class summary run i makes up alone: a lone engine's.
-  const auto lone_summary = [&](std::size_t i) -> LatencySummary* {
-    if (engine_count > 1) return nullptr;
-    return &(out.classes[i % class_count].*kClassSummary[i / class_count]);
-  };
-  std::vector<std::span<const double>> runs(3 * per_field);
-  for (std::size_t i = 0; i < runs.size(); ++i) runs[i] = samples(i);
-  parallel_for(
-      0, runs.size(),
-      // Two references: std::function holds them without allocating.
-      [&samples, &lone_summary](std::size_t i) {
-        std::vector<double>& v = samples(i);
-        if (LatencySummary* summary = lone_summary(i))
-          *summary = LatencySummary::from_samples(v);
-        else if (!std::is_sorted(v.begin(), v.end()))
-          std::sort(v.begin(), v.end());
-      },
-      /*min_block=*/1);
-  const std::span<const std::span<const double>> table = runs;
-  const std::size_t overall = class_count > 1 ? 3 : 0;  // largest first
-  const auto merge = [&](std::size_t i) {
-    if (i < overall) {
-      out.*kOverall[i] = LatencySummary::from_sorted_runs(
-          table.subspan(i * per_field, per_field));
-      return;
-    }
-    const std::size_t c = (i - overall) / 3;
-    const std::size_t f = (i - overall) % 3;
-    out.classes[c].*kClassSummary[f] = LatencySummary::from_sorted_runs(
-        table.subspan(f * per_field + c * engine_count, engine_count));
-  };
-  if (engine_count > 1)
-    parallel_for(0, overall + 3 * class_count, merge, /*min_block=*/1);
-  else
-    for (std::size_t i = 0; i < overall; ++i) merge(i);
-  if (overall == 0)
-    for (std::size_t f = 0; f < 3; ++f)
-      out.*kOverall[f] = out.classes[0].*kClassSummary[f];
+  for (std::size_t f = 0; f < 3; ++f)
+    out.*kOverall[f] = overall[f].summary();
 
   // Per node type (dispatch-result convention: busy fraction is averaged
   // over the nodes of the type).
@@ -1604,7 +1555,7 @@ TrafficResult simulate_traffic(const model::ClusterSpec& cluster,
 
 JsonValue TrafficResult::to_json() const {
   JsonValue o = JsonValue::object();
-  o.set("schema_version", JsonValue::number(std::int64_t{1}));
+  o.set("schema_version", JsonValue::number(std::int64_t{2}));
   o.set("arrival_process", JsonValue::string(arrival_process));
   // Emitted only for sharded runs: the single-shard document stays
   // byte-identical with pre-sharding releases.

@@ -103,7 +103,6 @@ TEST(Simulate, AllArrivedJobsComplete) {
   opts.min_jobs = 200;
   const SimResult r = simulate(m, opts);
   EXPECT_EQ(r.jobs_completed, r.jobs_arrived);
-  EXPECT_EQ(r.response_samples.size(), r.jobs_completed);
   EXPECT_GT(r.jobs_completed, 50u);
 }
 

@@ -3,17 +3,14 @@
 // a warm loop can be checked to allocate nothing at all: the DES
 // kernel's schedule/step cycle (inline callbacks in a recycled slot
 // arena, passing preconditions that build no message), the token
-// bucket every admitted request consults, and the latency summary
-// kernel every finalize task runs.
+// bucket every admitted request consults, and the latency sketch every
+// completion adds to.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <span>
-#include <vector>
 
 #include "hcep/des/simulator.hpp"
 #include "hcep/traffic/admission.hpp"
@@ -97,31 +94,19 @@ TEST(DesAlloc, TokenBucketCallsAllocateNothing) {
   EXPECT_EQ(news, 0u);
 }
 
-TEST(DesAlloc, StreamedSummariesAllocateNothing) {
-  // from_sorted_runs over 1-8 runs, the span lists of a sharded
-  // finalize, and from_samples of a sorted vector (one run).
+TEST(DesAlloc, WarmLatencySketchAddsAllocateNothing) {
+  // A sketch allocates only to extend its bucket range; once the range
+  // covers the values, adds allocate nothing.
   Rng rng(20161017);
-  std::vector<std::vector<double>> runs(8);
-  for (auto& run : runs) {
-    for (int i = 0; i < 1000; ++i) run.push_back(rng.exponential(1.0));
-    std::sort(run.begin(), run.end());
-  }
-  const std::vector<std::span<const double>> views(runs.begin(), runs.end());
-  for (std::size_t k = 1; k <= views.size(); ++k) {
-    traffic::LatencySummary summary;
-    const std::uint64_t news = news_during([&] {
-      summary = traffic::LatencySummary::from_sorted_runs(
-          std::span(views).first(k));
-    });
-    EXPECT_EQ(news, 0u) << k << " runs";
-    EXPECT_EQ(summary.count, 1000 * k);
-  }
-  traffic::LatencySummary one;
-  EXPECT_EQ(news_during([&] {
-              one = traffic::LatencySummary::from_samples(runs[0]);
-            }),
-            0u);
-  EXPECT_EQ(one.count, 1000u);
+  traffic::LatencySketch sketch;
+  sketch.add(1e-6);
+  sketch.add(1e3);
+  const std::uint64_t news = news_during([&] {
+    for (int i = 0; i < kCountedCycles; ++i)
+      sketch.add(1e-6 + rng.exponential(1.0));
+  });
+  EXPECT_EQ(news, 0u);
+  EXPECT_EQ(sketch.count(), static_cast<std::uint64_t>(kCountedCycles + 2));
 }
 
 }  // namespace

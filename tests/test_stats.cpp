@@ -1,4 +1,4 @@
-// Statistics: Welford moments, percentiles, P2 estimator, histograms.
+// Statistics: Welford moments and percentiles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,8 +79,6 @@ TEST(Percentile, Validation) {
   EXPECT_THROW((void)percentile(v, 101.0), PreconditionError);
   EXPECT_THROW((void)percentile_sorted(v, 101.0), PreconditionError);
   EXPECT_THROW((void)percentile_sorted(v, -0.5), PreconditionError);
-  EXPECT_THROW((void)percentile_rank(0, 50.0), PreconditionError);
-  EXPECT_THROW((void)percentile_rank(3, 100.5), PreconditionError);
 }
 
 TEST(Percentile, SortedInputNeedsNoSort) {
@@ -97,41 +95,6 @@ TEST(Percentile, SortedInputNeedsNoSort) {
   }
   const std::vector<double> one{42.0};
   EXPECT_EQ(percentile_sorted(one, 95.0), 42.0);
-}
-
-TEST(P2Quantile, ExactBelowFiveSamples) {
-  P2Quantile q(0.5);
-  q.add(3.0);
-  q.add(1.0);
-  q.add(2.0);
-  EXPECT_DOUBLE_EQ(q.value(), 2.0);
-}
-
-TEST(P2Quantile, TracksMedianOfUniform) {
-  P2Quantile q(0.5);
-  Rng rng(17);
-  for (int i = 0; i < 100000; ++i) q.add(rng.uniform01());
-  EXPECT_NEAR(q.value(), 0.5, 0.02);
-}
-
-TEST(P2Quantile, Tracks95thOfExponential) {
-  P2Quantile q(0.95);
-  Rng rng(19);
-  std::vector<double> all;
-  for (int i = 0; i < 100000; ++i) {
-    const double x = rng.exponential(1.0);
-    q.add(x);
-    all.push_back(x);
-  }
-  const double exact = percentile_inplace(all, 95.0);
-  EXPECT_NEAR(q.value(), exact, exact * 0.05);
-}
-
-TEST(P2Quantile, RejectsBadQuantile) {
-  EXPECT_THROW(P2Quantile(0.0), PreconditionError);
-  EXPECT_THROW(P2Quantile(1.0), PreconditionError);
-  P2Quantile q(0.9);
-  EXPECT_THROW((void)q.value(), PreconditionError);
 }
 
 }  // namespace

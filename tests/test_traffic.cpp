@@ -8,10 +8,10 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "hcep/control/controllers.hpp"
@@ -24,7 +24,6 @@
 #include "hcep/traffic/simulate.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/util/rng.hpp"
-#include "hcep/util/stats.hpp"
 #include "hcep/workload/catalog.hpp"
 
 namespace {
@@ -279,36 +278,17 @@ TEST(Traffic, MultiClassWeightsSplitTheStream) {
 
 // ------------------------------------------------------- latency summaries
 
-/// The finalize as it was before from_samples sorted only once: copy,
-/// sort, sum in order, then percentile() (which copies and sorts again).
-LatencySummary sorted_copy_oracle(const std::vector<double>& samples) {
-  LatencySummary out;
-  out.count = samples.size();
-  if (samples.empty()) return out;
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  double sum = 0.0;
-  for (const double s : sorted) sum += s;
-  out.mean = Seconds{sum / static_cast<double>(sorted.size())};
-  out.p50 = Seconds{percentile(sorted, 50.0)};
-  out.p95 = Seconds{percentile(sorted, 95.0)};
-  out.p99 = Seconds{percentile(sorted, 99.0)};
-  out.max = Seconds{sorted.back()};
-  return out;
+/// The order statistic at nearest rank ceil(q * n) of `sorted` (n > 0).
+double nearest_rank(const std::vector<double>& sorted, double q) {
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[std::max<std::size_t>(rank, 1) - 1];
 }
 
-/// Exact equality of every field: the summaries feed the result bytes.
-void expect_identical(const LatencySummary& a, const LatencySummary& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.mean.value(), b.mean.value());
-  EXPECT_EQ(a.p50.value(), b.p50.value());
-  EXPECT_EQ(a.p95.value(), b.p95.value());
-  EXPECT_EQ(a.p99.value(), b.p99.value());
-  EXPECT_EQ(a.max.value(), b.max.value());
-}
-
-/// Every input shape the summaries must reproduce: unsorted, ascending,
-/// descending, all ties, mostly ties, one and two samples, none.
+/// Every input shape the summaries must bound: unsorted, ascending,
+/// descending, all ties, mostly ties, one and two samples, none, and
+/// values from 1e-300 to 1e300, more octaves than the sketch's bucket cap
+/// holds at its default bound.
 std::vector<std::vector<double>> oracle_inputs() {
   Rng rng(41);
   std::vector<double> random;
@@ -319,90 +299,140 @@ std::vector<std::vector<double>> oracle_inputs() {
   std::vector<double> mostly_zero(5000, 0.0);
   for (std::size_t i = 0; i < mostly_zero.size(); i += 97)
     mostly_zero[i] = rng.uniform01();
+  std::vector<double> wide = {1e300, 1e-300};
+  for (int i = 0; i < 5000; ++i)
+    wide.push_back(std::pow(10.0, 600.0 * rng.uniform01() - 300.0));
   return {random,     ascending,         descending,
           std::vector<double>(777, 0.125), mostly_zero,
-          {0.5},      {0.75, 0.25},      {}};
+          {0.5},      {0.75, 0.25},      {},
+          wide};
 }
 
-TEST(LatencySummaryTest, FromSamplesMatchesTheSortedCopyOracle) {
+/// p50/p95/p99 of `s`, with their quantiles.
+std::vector<std::pair<double, double>> percentiles(const LatencySummary& s) {
+  return {{0.50, s.p50.value()}, {0.95, s.p95.value()}, {0.99, s.p99.value()}};
+}
+
+TEST(LatencySummaryTest, FromSamplesIsWithinEpsilonOfTheNearestRankOracle) {
   for (const std::vector<double>& in : oracle_inputs()) {
     SCOPED_TRACE(in.size());
-    std::vector<double> mine = in;
-    expect_identical(LatencySummary::from_samples(mine),
-                     sorted_copy_oracle(in));
+    const LatencySummary s = LatencySummary::from_samples(in);
+    ASSERT_EQ(s.count, in.size());
+    if (in.empty()) {
+      EXPECT_EQ(s.mean.value(), 0.0);
+      EXPECT_EQ(s.max.value(), 0.0);
+      for (const auto& [q, p] : percentiles(s)) EXPECT_EQ(p, 0.0) << q;
+      continue;
+    }
+    std::vector<double> sorted = in;
+    std::sort(sorted.begin(), sorted.end());
+    double sum = 0.0;
+    for (const double x : in) sum += x;
+    EXPECT_EQ(s.mean.value(), sum / static_cast<double>(in.size()));
+    EXPECT_EQ(s.max.value(), sorted.back());
+    for (const auto& [q, p] : percentiles(s)) {
+      const double x = nearest_rank(sorted, q);
+      EXPECT_LE(std::abs(p - x), s.epsilon * x) << q;
+      EXPECT_LE(p, s.max.value()) << q;
+    }
+    // The default bound, raised only for the 1e-300 to 1e300 input.
+    if (sorted.back() < 1e100)
+      EXPECT_EQ(s.epsilon, 0.00390625);
+    else
+      EXPECT_EQ(s.epsilon, 0.25);
   }
 }
 
-/// The summary of `runs`, each sorted ascending.
-LatencySummary summary_of_runs(const std::vector<std::vector<double>>& runs) {
-  const std::vector<std::span<const double>> views(runs.begin(), runs.end());
-  return LatencySummary::from_sorted_runs(views);
-}
-
-/// All of `runs` in one vector, unsorted.
-std::vector<double> concatenation(
-    const std::vector<std::vector<double>>& runs) {
-  std::vector<double> all;
-  for (const auto& run : runs) all.insert(all.end(), run.begin(), run.end());
-  return all;
-}
-
-TEST(LatencySummaryTest, FromSortedRunsMatchesTheSortedCopyOracle) {
-  // Each oracle input dealt into 1-8 sorted runs of uneven length: a
-  // run is drawn as the lesser of two uniform picks, so later runs get
-  // fewer values, and one run in the middle stays empty. The repeated
-  // values of the tie-heavy inputs land in several runs.
-  // 70 runs go past the heads the merge keeps on the stack.
+TEST(LatencySummaryTest, MergedSketchesSummarizeTheirUnion) {
+  // Each input dealt into 1-8 parts of uneven length: a part is drawn as
+  // the lesser of two uniform picks, so later parts get fewer values, and
+  // one part in the middle stays empty; then into 70 parts. The repeated
+  // values of the tie-heavy inputs land in several parts. Merged in part
+  // order, the parts summarize as the whole input does: a summary does
+  // not depend on how shards or sites split the requests. Only the mean
+  // moves, with the order of its sum.
   Rng rng(43);
   for (const std::vector<double>& in : oracle_inputs()) {
+    const LatencySummary whole = LatencySummary::from_samples(in);
     for (const std::size_t k : {1, 2, 3, 4, 5, 6, 7, 8, 70}) {
       SCOPED_TRACE(std::to_string(in.size()) + " values in " +
-                   std::to_string(k) + " runs");
-      std::vector<std::vector<double>> runs(k);
+                   std::to_string(k) + " parts");
+      std::vector<LatencySketch> parts(k);
       const std::size_t empty = k >= 3 ? k / 2 : k;
       for (const double v : in) {
         std::size_t r = std::min(rng.uniform_int(k), rng.uniform_int(k));
         if (r == empty) r = 0;
-        runs[r].push_back(v);
+        parts[r].add(v);
       }
-      for (auto& run : runs) std::sort(run.begin(), run.end());
-      expect_identical(summary_of_runs(runs), sorted_copy_oracle(in));
+      LatencySketch merged;
+      for (const LatencySketch& part : parts) merged.merge(part);
+      const LatencySummary s = merged.summary();
+      EXPECT_EQ(s.count, whole.count);
+      EXPECT_EQ(s.p50.value(), whole.p50.value());
+      EXPECT_EQ(s.p95.value(), whole.p95.value());
+      EXPECT_EQ(s.p99.value(), whole.p99.value());
+      EXPECT_EQ(s.max.value(), whole.max.value());
+      EXPECT_EQ(s.epsilon, whole.epsilon);
+      EXPECT_NEAR(s.mean.value(), whole.mean.value(),
+                  1e-12 * whole.mean.value());
     }
   }
 }
 
-// The k-way merge cases, with the inputs of the merge helper the
-// streamed summaries replaced.
-
-TEST(LatencySummaryTest, FromNoRunsOrEmptyRunsIsEmpty) {
-  expect_identical(summary_of_runs({}), LatencySummary{});
-  expect_identical(summary_of_runs({{}, {}, {}}), LatencySummary{});
-}
-
-TEST(LatencySummaryTest, OneRunAmongEmptyRunsIsThatRunsSummary) {
-  const std::vector<double> run = {0.5, 1.0, 1.0, 7.25};
-  expect_identical(summary_of_runs({run}), sorted_copy_oracle(run));
-  expect_identical(summary_of_runs({{}, run, {}}), sorted_copy_oracle(run));
-}
-
-TEST(LatencySummaryTest, ThreeRunsSharingValuesSummarizeTheirUnion) {
-  const std::vector<std::vector<double>> runs = {
-      {0.0, 1.0, 1.0, 2.0, 5.0},
-      {1.0, 2.0, 2.0, 3.0},
-      {0.0, 1.0, 5.0, 5.0, 9.0, 11.0}};
-  expect_identical(summary_of_runs(runs),
-                   sorted_copy_oracle(concatenation(runs)));
-
-  Rng rng(17);
-  std::vector<std::vector<double>> random_runs(3);
-  for (auto& run : random_runs) {
-    for (int i = 0; i < 200; ++i)
-      run.push_back(static_cast<double>(rng.uniform_int(40)) * 0.25);
-    std::sort(run.begin(), run.end());
+TEST(LatencySummaryTest, SloMetAgreesWithTheReportedQuantile) {
+  // slo_met compares the violation fraction with 1 - q, which fits
+  // exactly when the nearest-rank q-quantile is at or below the SLO
+  // latency L. So a met SLO reports p_q <= (1 + epsilon) * L and a missed
+  // one p_q > (1 - epsilon) * L. An interpolated percentile breaks this:
+  // with 95 sojourns of 1 s and 5 of 3 s, violations of a 1.05 s SLO at
+  // q 0.95 are 5%, so the SLO is met, yet interpolating between ranks
+  // 95 and 96 reports a p95 of 1.1 s.
+  std::vector<double> example(95, 1.0);
+  example.insert(example.end(), 5, 3.0);
+  std::vector<std::vector<double>> inputs = {example};
+  Rng rng(53);
+  for (const std::size_t n : {7, 100, 1001, 20000}) {
+    std::vector<double> in;
+    for (std::size_t i = 0; i < n; ++i) in.push_back(rng.exponential(20.0));
+    inputs.push_back(std::move(in));
   }
-  random_runs[1].resize(37);  // unequal lengths
-  expect_identical(summary_of_runs(random_runs),
-                   sorted_copy_oracle(concatenation(random_runs)));
+  int met = 0;
+  int missed = 0;
+  for (const std::vector<double>& in : inputs) {
+    std::vector<double> sorted = in;
+    std::sort(sorted.begin(), sorted.end());
+    ClassStats st;
+    st.completed = in.size();
+    st.sojourn = LatencySummary::from_samples(in);
+    const double eps = st.sojourn.epsilon;
+    for (const auto& [q, p] : percentiles(st.sojourn)) {
+      // The example's SLO, and SLOs at and just around the order
+      // statistics next to the quantile's rank.
+      std::vector<double> latencies = {1.05};
+      const auto rank = static_cast<std::size_t>(
+          std::ceil(q * static_cast<double>(in.size())));
+      for (std::size_t r = std::max<std::size_t>(rank, 2) - 2;
+           r < std::min(rank + 1, in.size()); ++r)
+        for (const double scale : {1.0 - 1e-9, 1.0, 1.0 + 1e-9})
+          latencies.push_back(sorted[r] * scale);
+      for (const double latency : latencies) {
+        SCOPED_TRACE(std::to_string(in.size()) + " sojourns, q " +
+                     std::to_string(q) + ", L " + std::to_string(latency));
+        st.slo = SloTarget{Seconds{latency}, q};
+        st.slo_violations = static_cast<std::uint64_t>(std::count_if(
+            in.begin(), in.end(), [&](double x) { return x > latency; }));
+        if (st.slo_met()) {
+          ++met;
+          EXPECT_LE(p, (1.0 + eps) * latency);
+        } else {
+          ++missed;
+          EXPECT_GT(p, (1.0 - eps) * latency);
+        }
+      }
+    }
+  }
+  EXPECT_GT(met, 0);
+  EXPECT_GT(missed, 0);
 }
 
 std::vector<TrafficClass> three_classes() {
@@ -411,8 +441,20 @@ std::vector<TrafficClass> three_classes() {
           TrafficClass{wl("blackscholes"), 1.0, SloTarget{}}};
 }
 
+/// Equality of every field but the mean, which moves with the order of
+/// its sum; that agrees to 1e-12 relative.
+void expect_same_summary(const LatencySummary& a, const LatencySummary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_NEAR(a.mean.value(), b.mean.value(), 1e-12 * b.mean.value());
+  EXPECT_EQ(a.p50.value(), b.p50.value());
+  EXPECT_EQ(a.p95.value(), b.p95.value());
+  EXPECT_EQ(a.p99.value(), b.p99.value());
+  EXPECT_EQ(a.max.value(), b.max.value());
+  EXPECT_EQ(a.epsilon, b.epsilon);
+}
+
 TEST(Traffic, OverallSummaryIsTheClassUnion) {
-  // Three classes, so the overall summaries merge three sorted vectors.
+  // Three classes, so the overall summaries merge three class sketches.
   TrafficOptions options;
   options.requests = 6000;
   options.seed = 13;
@@ -429,11 +471,11 @@ TEST(Traffic, OverallSummaryIsTheClassUnion) {
     per_class[rec.cls].push_back(rec.sojourn.value());
   }
   for (const std::vector<double>& c : per_class) ASSERT_FALSE(c.empty());
-  expect_identical(r.sojourn, LatencySummary::from_samples(all));
+  expect_same_summary(r.sojourn, LatencySummary::from_samples(all));
   for (std::size_t c = 0; c < 3; ++c) {
     SCOPED_TRACE(c);
-    expect_identical(r.classes[c].sojourn,
-                     LatencySummary::from_samples(per_class[c]));
+    expect_same_summary(r.classes[c].sojourn,
+                        LatencySummary::from_samples(per_class[c]));
   }
 }
 
@@ -759,10 +801,10 @@ TEST(TrafficSharded, RandomizedOptionsMatchSerialOrFailCleanly) {
 }
 
 TEST(Traffic, PooledSummariesMatchFromAnyThread) {
-  // The class summaries run on the global pool. The same run must give
-  // the same document from the main thread, from inside a pool task
-  // (where the summaries run inline, as under a fed site) and from two
-  // threads submitting to the pool at once.
+  // A run merges its summaries on the calling thread and shares nothing
+  // with other runs. The same run must give the same document from the
+  // main thread, from inside a pool task (as under a fed site) and from
+  // two threads running at once.
   const auto run = [] {
     TrafficOptions options;
     options.requests = 4000;
@@ -847,7 +889,7 @@ TEST(TrafficPinned, AdmissionAndRetriesOnOneShard) {
   EXPECT_GT(r.shed_bucket, 0u);
   EXPECT_GT(r.shed_queue, 0u);
   EXPECT_GT(r.retries, 0u);
-  EXPECT_EQ(fnv1a(r.to_json().dump()), 0xdce89d0c612e72e6ULL);
+  EXPECT_EQ(fnv1a(r.to_json().dump()), 0x193e59cf5bfe1edcULL);
 }
 
 TEST(TrafficPinned, ShardedRecordsJoinOnTheArrivalIndex) {
@@ -869,7 +911,7 @@ TEST(TrafficPinned, ShardedRecordsJoinOnTheArrivalIndex) {
              std::to_string(rec.failed) + ' ' +
              JsonValue::number(rec.sojourn.value()).dump();
   }
-  EXPECT_EQ(fnv1a(bytes), 0x66a885d1c22ef7b3ULL);
+  EXPECT_EQ(fnv1a(bytes), 0x33643b638b6d6cf2ULL);
 }
 
 TEST(TrafficPinned, FrozenControllerStreamed) {
@@ -889,7 +931,7 @@ TEST(TrafficPinned, FrozenControllerStreamed) {
   EXPECT_FALSE(r.timeline.windows.empty());
   EXPECT_EQ(fnv1a(r.to_json().dump() + r.control.to_json().dump() +
                   r.timeline.to_json().dump()),
-            0x7fd16f9316071c30ULL);
+            0xe13f4ab378ed78b1ULL);
 }
 
 TEST(TrafficPinned, ShardedArrivalsRunAheadOfSameInstantTicks) {
@@ -907,7 +949,7 @@ TEST(TrafficPinned, ShardedArrivalsRunAheadOfSameInstantTicks) {
                                   options);
   EXPECT_GT(r.control.sleeps, 0u);
   EXPECT_EQ(fnv1a(r.to_json().dump() + r.control.to_json().dump()),
-            0xb34d3b1862e117f1ULL);
+            0xd82ea92006bdafbdULL);
 }
 
 }  // namespace

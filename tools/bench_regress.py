@@ -29,9 +29,8 @@ google-benchmark's default CPU timer measures the main benchmark thread,
 so CPU-timed thread-pool variants under-report work and are recorded but
 never gated (the ``des`` suite records BM_ShardedTraffic/1..8 wall-clock
 scaling this way; ``bench/hcep_bench``'s ``sharded_scaling`` workload
-reports the shard speedup and efficiency). The traffic suite's
-simulate_traffic rows are wall-clock because each run hands its latency
-summaries to the global thread pool.
+reports the shard speedup and efficiency). The traffic suite gates its
+simulate_traffic rows by their wall-clock ``/real_time`` names.
 
 Suites may additionally declare ``ratio_gates``: within-run throughput
 ratios between a fast and a slow implementation measured minutes apart at
