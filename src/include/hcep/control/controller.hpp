@@ -88,10 +88,11 @@ struct TickContext {
   double shard_share = 1.0;
 };
 
-/// Command surface a controller actuates through, plus the memoized
-/// operating-point model queries (config::OperatingPointTable entries)
-/// it plans with. Commands return false when refused (unknown point,
-/// already in the requested state, or the fleet-availability floor).
+/// Command surface a controller actuates through, plus the
+/// operating-point model queries it plans with (entries of the run's
+/// per-type node tables). Commands return false when refused (unknown
+/// point, already in the requested state, or the fleet-availability
+/// floor).
 class Actuator {
  public:
   virtual ~Actuator() = default;
@@ -103,8 +104,9 @@ class Actuator {
   /// configured wake delay and charges the wake-energy penalty; a
   /// draining node is simply reactivated (no penalty).
   virtual bool wake_node(std::size_t node) = 0;
-  /// Switches the node's operating point for future dispatches
-  /// (in-flight service times are fixed at dispatch).
+  /// Switches the node's operating point for future dispatches; a
+  /// request in flight keeps the service time and power of the point it
+  /// was dispatched at.
   virtual bool set_operating_point(std::size_t node, std::uint32_t point) = 0;
 
   [[nodiscard]] virtual std::size_t num_points(std::uint32_t type) const = 0;

@@ -7,8 +7,7 @@
 //                        cluster::autoscale_replay)
 //   DvfsGovernor         per-node operating-point selection against a
 //                        latency-headroom target, planning with the
-//                        memoized config::OperatingPointTable entries
-//                        exposed through the Actuator
+//                        node-table entries exposed through the Actuator
 //   PowerCapController   rack power-cap enforcement for the paper's 1 kW
 //                        budget: throttles operating points first, parks
 //                        idle nodes second, sheds load never

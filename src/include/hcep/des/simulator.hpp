@@ -18,8 +18,11 @@
 // 48 bytes are stored inside the event record, so scheduling an event
 // allocates nothing on the hot path (see callback.hpp).
 //
-// For multi-shard execution (one event loop per node group, conservative
-// lookahead synchronization) see sharded.hpp.
+// A sharded traffic run keeps one Simulator per shard: its shards share
+// no events, so each loop runs to completion on its own (in parallel on
+// the thread pool when asked), and claim_sequence/schedule_claimed let a
+// lazily replayed arrival slice keep the order it would have had
+// scheduled whole.
 #pragma once
 
 #include <cstdint>
@@ -142,14 +145,6 @@ class BasicSimulator {
     require(horizon >= now_, "Simulator::run_until: horizon in the past");
     while (!queue_.empty() && queue_.peek_time() <= horizon) step();
     now_ = horizon;
-  }
-
-  /// Runs events with time strictly below `bound`, leaving the clock at
-  /// the last executed event (NOT advanced to the bound) — the window
-  /// primitive of the sharded conservative-lookahead loop: events at or
-  /// past the bound stay queued for the next window.
-  void run_before(Seconds bound) {
-    while (!queue_.empty() && queue_.peek_time() < bound) step();
   }
 
   /// Runs until the queue drains completely.

@@ -9,6 +9,13 @@
 // sketch's proven relative bound — together with full energy accounting
 // (idle floor + per-request dynamic energy) and per-class SLO ledgers.
 //
+// Each run builds one node table per node type: the group's DVFS ladder
+// at its core count and, per operating point, every class's service
+// time and dynamic power from workload::unit_throughput / busy_power.
+// A node dispatches from its type's row at its current point; a request
+// is charged the terms of the point it was dispatched at, whatever a
+// controller does to the node while it is in flight.
+//
 // The keystone validation: with one node, one class and Poisson
 // arrivals, this simulator IS an M/D/1 queue, and its measured mean wait
 // and p95 response must match queueing::MD1's closed forms (Figures
@@ -71,7 +78,7 @@ struct TrafficOptions {
   AdmissionOptions admission{};
   RetryPolicy retry{};
   std::uint64_t seed = 1;
-  /// Opt-in sharded execution (des::ShardedSimulator): nodes are
+  /// Opt-in sharded execution, one des::Simulator per shard: nodes are
   /// partitioned round-robin into `shards` groups, arrivals are assigned
   /// round-robin by arrival index, and the token-bucket rate/burst are
   /// split evenly. 1 = the classic single-loop path (byte-identical to
@@ -80,8 +87,9 @@ struct TrafficOptions {
   /// single-shard run — but are byte-identical across repeated runs (and
   /// across serial/parallel execution) for a fixed (seed, shards) pair.
   std::size_t shards = 1;
-  /// Run shards concurrently on the global thread pool (identical
-  /// results either way; turn off to debug under a deterministic stack).
+  /// Run the shards' event loops concurrently on the global thread pool
+  /// (identical results either way; turn off to debug under a
+  /// deterministic stack).
   bool parallel_shards = true;
   /// Closed-loop control plane (hcep::control). Default-constructed =
   /// open loop: no controller, no ticks, the classic instruction stream.
@@ -159,7 +167,10 @@ struct TrafficResult {
 
 /// Sustainable aggregate request rate (requests/s) of `cluster` under the
 /// weight-averaged class mix — the denominator that turns a target
-/// utilization into an arrival rate for the generators above.
+/// utilization into an arrival rate for the generators above. Sums, node
+/// by node, the rate of the node tables simulate_traffic dispatches from
+/// at each group's configured point; every class weight must be
+/// positive, as for simulate_traffic.
 [[nodiscard]] double cluster_capacity_per_s(
     const model::ClusterSpec& cluster,
     const std::vector<TrafficClass>& classes);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <future>
 #include <limits>
 #include <memory>
@@ -10,10 +9,7 @@
 #include <thread>
 #include <utility>
 
-#include "hcep/config/operating_points.hpp"
-#include "hcep/config/space.hpp"
 #include "hcep/control/controller.hpp"
-#include "hcep/des/sharded.hpp"
 #include "hcep/des/simulator.hpp"
 #include "hcep/obs/obs.hpp"
 #include "hcep/parallel/thread_pool.hpp"
@@ -25,168 +21,156 @@ namespace hcep::traffic {
 
 namespace {
 
-/// One physical node: per-class service/dynamic-power tables plus live
-/// queue state — the fields cluster::choose_node reads.
-struct Node {
-  std::string type;
-  std::vector<Seconds> service;  ///< indexed by class
-  std::vector<Watts> dynamic;    ///< extra power while serving, per class
+/// One node type of a run (a present NodeGroup): the group's DVFS ladder
+/// at its core count, with the configured frequency inserted when it is
+/// not a ladder step, and per operating point the service time and
+/// dynamic power of every class plus the class-mix rows controllers plan
+/// with. Built once per run and shared read-only by the shard engines.
+struct TypeTable {
+  struct Point {
+    Watts busy_worst{};     ///< idle + max per-class dynamic
+    Seconds mean_service{}; ///< class-weight-averaged
+    double rate = 0.0;      ///< requests/s = 1 / mean_service
+  };
+  std::string name;
+  unsigned count = 0;  ///< nodes of this type
   Watts idle{};
-  std::uint64_t queued = 0;
-  Seconds free_at{};
-  std::uint64_t served = 0;
-  Seconds busy_time{};
-  // --- closed-loop state; meaningful only under a controller ---
-  std::uint32_t type_ord = 0;  ///< index into the run's TypePoints tables
-  std::uint32_t point = 0;     ///< current operating-point index
-  control::PowerState pstate = control::PowerState::kActive;
-  Seconds sleep_since{};   ///< start of the current sleep interval
-  Seconds window_busy{};   ///< busy time credited since the last tick
-  Watts sleep_power{};     ///< draw while parked
-  /// Dispatch-time (service, dynamic power) of each in-flight request,
-  /// FIFO — finishes occur in dispatch order because free_at is strictly
-  /// increasing. Populated only under a controller: an operating-point
-  /// change mid-flight moves the node's tables, but the in-flight
-  /// request's terms are fixed at dispatch (Actuator contract), and the
-  /// energy ledger must charge exactly what the power trace recorded.
-  std::deque<std::pair<Seconds, Watts>> inflight;
+  std::uint32_t configured = 0;  ///< index of the group's (cores, freq)
+  std::size_t classes = 0;
+  std::vector<Seconds> service;  ///< [point * classes + class]
+  std::vector<Watts> dynamic;    ///< extra power while serving, same index
+  std::vector<Point> points;     ///< ascending frequency
+
+  [[nodiscard]] const Seconds* service_row(std::uint32_t p) const {
+    return service.data() + p * classes;
+  }
+  [[nodiscard]] const Watts* dynamic_row(std::uint32_t p) const {
+    return dynamic.data() + p * classes;
+  }
 };
 
-std::vector<Node> materialize_nodes(const model::ClusterSpec& cluster,
-                                    const std::vector<TrafficClass>& classes) {
-  std::vector<Node> nodes;
+/// The run's type tables, one per present group in spec order. Every
+/// entry comes from workload::unit_throughput / busy_power at the
+/// point's (cores, frequency).
+std::vector<TypeTable> build_type_tables(
+    const model::ClusterSpec& cluster,
+    const std::vector<TrafficClass>& classes) {
+  double weight_total = 0.0;
+  for (const auto& c : classes) {
+    require(c.weight > 0.0, "simulate_traffic: non-positive class weight");
+    weight_total += c.weight;
+  }
+  std::vector<TypeTable> tables;
   for (const auto& g : cluster.groups) {
     if (g.count == 0) continue;
-    std::vector<Seconds> service;
-    std::vector<Watts> dynamic;
+    TypeTable& t = tables.emplace_back();
+    t.name = g.spec.name;
+    t.count = g.count;
+    t.idle = g.spec.power.idle;
+    t.classes = classes.size();
     for (const auto& c : classes) {
       require(c.workload.has_node(g.spec.name),
               "simulate_traffic: workload '" + c.workload.name +
                   "' lacks demand for '" + g.spec.name + "'");
-      const auto& demand = c.workload.demand_for(g.spec.name);
-      const double rate =
-          workload::unit_throughput(demand, g.spec, g.cores(), g.freq());
-      service.push_back(Seconds{c.workload.units_per_job / rate});
-      const Watts busy = workload::busy_power(
-          demand, g.spec, g.cores(), g.freq(),
-          c.workload.power_scale_for(g.spec.name));
-      dynamic.push_back(busy - g.spec.power.idle);
     }
-    for (unsigned i = 0; i < g.count; ++i) {
-      nodes.push_back(Node{.type = g.spec.name,
-                           .service = service,
-                           .dynamic = dynamic,
-                           .idle = g.spec.power.idle,
-                           .queued = 0,
-                           .free_at = Seconds{0.0},
-                           .served = 0,
-                           .busy_time = Seconds{0.0},
-                           .inflight = {}});
-    }
-  }
-  require(!nodes.empty(), "simulate_traffic: empty cluster");
-  return nodes;
-}
-
-/// Per-(node type) operating-point tables for closed-loop runs: one
-/// entry per present NodeGroup, with the group's full DVFS ladder at its
-/// configured core count (the configured frequency is inserted when it
-/// is not a ladder step). Service and dynamic-power values come from
-/// config::OperatingPointTable — the same memoized primitives the
-/// offline sweeps use — so the entry at `configured` is bit-identical to
-/// what materialize_nodes computes directly.
-struct TypePoints {
-  std::vector<config::OperatingPoint> points;  ///< ascending frequency
-  std::uint32_t configured = 0;  ///< index of the group's (cores, freq)
-  Watts idle{};
-  std::vector<std::vector<Seconds>> service;  ///< [point][class]
-  std::vector<std::vector<Watts>> dynamic;    ///< [point][class]
-  std::vector<Watts> busy_worst;     ///< idle + max per-class dynamic
-  std::vector<Seconds> mean_service; ///< class-weight-averaged
-  std::vector<double> rate;          ///< requests/s = 1 / mean_service
-};
-
-std::vector<TypePoints> materialize_point_tables(
-    const model::ClusterSpec& cluster,
-    const std::vector<TrafficClass>& classes) {
-  double weight_total = 0.0;
-  for (const auto& c : classes) weight_total += c.weight;
-
-  std::vector<TypePoints> tables;
-  std::vector<config::TypeOptions> type_options;
-  for (const auto& g : cluster.groups) {
-    if (g.count == 0) continue;
-    TypePoints t;
-    t.idle = g.spec.power.idle;
+    const auto add_point = [&](Hertz f) {
+      TypeTable::Point row;
+      for (const auto& c : classes) {
+        const auto& demand = c.workload.demand_for(g.spec.name);
+        const Seconds service{
+            c.workload.units_per_job /
+            workload::unit_throughput(demand, g.spec, g.cores(), f)};
+        const Watts dynamic =
+            workload::busy_power(demand, g.spec, g.cores(), f,
+                                 c.workload.power_scale_for(g.spec.name)) -
+            t.idle;
+        t.service.push_back(service);
+        t.dynamic.push_back(dynamic);
+        row.busy_worst = std::max(row.busy_worst, dynamic);
+        row.mean_service += service * (c.weight / weight_total);
+      }
+      row.busy_worst += t.idle;
+      if (row.mean_service.value() > 0.0)
+        row.rate = 1.0 / row.mean_service.value();
+      t.points.push_back(row);
+    };
+    const std::size_t steps = g.spec.dvfs.size() + 1;
+    t.service.reserve(steps * classes.size());
+    t.dynamic.reserve(steps * classes.size());
+    t.points.reserve(steps);
     bool have_configured = false;
     for (const Hertz f : g.spec.dvfs.steps()) {
       if (!have_configured && g.freq().value() < f.value()) {
         t.configured = static_cast<std::uint32_t>(t.points.size());
-        t.points.push_back({g.cores(), g.freq()});
+        add_point(g.freq());
         have_configured = true;
       }
       if (f.value() == g.freq().value()) {
         t.configured = static_cast<std::uint32_t>(t.points.size());
         have_configured = true;
       }
-      t.points.push_back({g.cores(), f});
+      add_point(f);
     }
     if (!have_configured) {
       t.configured = static_cast<std::uint32_t>(t.points.size());
-      t.points.push_back({g.cores(), g.freq()});
-    }
-    config::TypeOptions opts;
-    opts.spec = g.spec;
-    opts.max_nodes = 1;
-    opts.operating_points = t.points;
-    type_options.push_back(std::move(opts));
-    tables.push_back(std::move(t));
-  }
-
-  const config::ConfigSpace space(std::move(type_options));
-  for (std::size_t ti = 0; ti < tables.size(); ++ti) {
-    TypePoints& t = tables[ti];
-    const std::size_t np = t.points.size();
-    t.service.assign(np, std::vector<Seconds>(classes.size()));
-    t.dynamic.assign(np, std::vector<Watts>(classes.size()));
-    t.busy_worst.assign(np, Watts{0.0});
-    t.mean_service.assign(np, Seconds{0.0});
-    t.rate.assign(np, 0.0);
-  }
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    const config::OperatingPointTable table(space, classes[c].workload);
-    const double share = classes[c].weight / weight_total;
-    for (std::size_t ti = 0; ti < tables.size(); ++ti) {
-      TypePoints& t = tables[ti];
-      for (std::size_t p = 0; p < t.points.size(); ++p) {
-        const config::OperatingPointEntry& e = table.entry(ti, p);
-        const Seconds service{classes[c].workload.units_per_job /
-                              e.throughput};
-        t.service[p][c] = service;
-        t.dynamic[p][c] = e.busy_power - t.idle;
-        t.busy_worst[p] = std::max(t.busy_worst[p], t.dynamic[p][c]);
-        t.mean_service[p] += service * share;
-      }
+      add_point(g.freq());
     }
   }
-  for (TypePoints& t : tables) {
-    for (std::size_t p = 0; p < t.points.size(); ++p) {
-      t.busy_worst[p] += t.idle;
-      if (t.mean_service[p].value() > 0.0)
-        t.rate[p] = 1.0 / t.mean_service[p].value();
-    }
-  }
+  require(!tables.empty(), "simulate_traffic: empty cluster");
   return tables;
 }
 
-/// Per-class normalized cumulative weight distribution.
+/// One physical node: its type, its operating point with that point's
+/// table rows (the fields cluster::choose_node reads) and its live queue
+/// and power state.
+struct Node {
+  const Seconds* service = nullptr;  ///< by class, at `point`
+  const Watts* dynamic = nullptr;    ///< by class, at `point`
+  std::uint64_t queued = 0;
+  Seconds free_at{};
+  std::uint64_t served = 0;
+  Seconds busy_time{};
+  std::uint32_t type = 0;   ///< index into the run's TypeTables
+  std::uint32_t point = 0;  ///< current operating-point index
+  // --- closed-loop state; meaningful only under a controller ---
+  control::PowerState pstate = control::PowerState::kActive;
+  Seconds sleep_since{};  ///< start of the current sleep interval
+  Seconds window_busy{};  ///< busy time credited since the last tick
+};
+
+std::size_t node_count(const std::vector<TypeTable>& tables) {
+  std::size_t total = 0;
+  for (const TypeTable& t : tables) total += t.count;
+  return total;
+}
+
+/// The nodes of shard `shard` of `shards`: global node k (types in table
+/// order, `count` each) goes to shard k % shards, at its configured point.
+std::vector<Node> shard_nodes(const std::vector<TypeTable>& tables,
+                              std::size_t shard, std::size_t shards) {
+  const std::size_t total = node_count(tables);
+  std::vector<Node> nodes;
+  nodes.reserve(total / shards + (shard < total % shards ? 1 : 0));
+  std::size_t k = 0;
+  for (std::uint32_t t = 0; t < tables.size(); ++t) {
+    for (unsigned j = 0; j < tables[t].count; ++j, ++k) {
+      if (k % shards != shard) continue;
+      const std::uint32_t p = tables[t].configured;
+      nodes.push_back(Node{.service = tables[t].service_row(p),
+                           .dynamic = tables[t].dynamic_row(p),
+                           .type = t,
+                           .point = p});
+    }
+  }
+  return nodes;
+}
+
+/// Per-class normalized cumulative weight distribution (the weights are
+/// positive: build_type_tables checked them).
 std::vector<double> cumulative_weights(
     const std::vector<TrafficClass>& classes) {
   double total = 0.0;
-  for (const auto& c : classes) {
-    require(c.weight > 0.0, "simulate_traffic: non-positive class weight");
-    total += c.weight;
-  }
+  for (const auto& c : classes) total += c.weight;
   std::vector<double> cumulative;
   double acc = 0.0;
   for (const auto& c : classes) {
@@ -198,8 +182,8 @@ std::vector<double> cumulative_weights(
 }
 
 /// An engine's per-class latency sketches (every completion's wait,
-/// service and sojourn) plus the class's ledger counters. The run's
-/// summaries merge the engines' sketches.
+/// service and sojourn) plus the class's ledger counters: the engine's
+/// one ledger. The run's totals and summaries merge these.
 struct ClassSamples {
   LatencySketch wait, service, sojourn;
   std::uint64_t offered = 0, admitted = 0, shed = 0, retries = 0,
@@ -342,33 +326,33 @@ static_assert(sizeof(Request) <= 24, "Request must stay callback-inline");
 /// class coin, node draws and generator share the engine's RNG in the
 /// seed code's interleaving) or the replay feed over a ReplaySource
 /// (assigned-arrival runs, and each shard's dealt slice of a sharded
-/// run). Completed requests land in the per-class sample store only; the
-/// run's summaries are streamed from the sorted stores.
+/// run). Completions fold into the per-class ledgers and sketches
+/// (ClassSamples), which the run's totals and summaries merge.
 ///
 /// Every callback this engine schedules captures at most {Engine*, node
-/// index, Request, Seconds} — 48 bytes — so no event allocates
-/// (static_asserted at each schedule site against
-/// des::Callback::stores_inline).
+/// index and operating point (32 bits each), Request, Seconds} — 48
+/// bytes — so no event allocates (static_asserted at each schedule site
+/// against des::Callback::stores_inline).
 ///
 /// With a controller installed (options.control.enabled()) the engine
 /// doubles as the control::Actuator: ticks are scheduled as ordinary DES
-/// events, node sleep/wake and operating-point changes mutate the live
-/// node tables, and every control branch is guarded by `copts_` so an
-/// open-loop run draws and schedules exactly as if control did not exist.
+/// events, node sleep/wake and operating-point changes move the live
+/// nodes between table rows, and every control branch is guarded by
+/// `copts_` so an open-loop run draws and schedules exactly as if control
+/// did not exist.
 class Engine final : public control::Actuator {
  public:
   Engine(des::Simulator& sim, const std::vector<TrafficClass>& classes,
          const std::vector<double>& cumulative,
-         const TrafficOptions& options, std::vector<Node> nodes,
+         const TrafficOptions& options, const std::vector<TypeTable>& tables,
          std::uint64_t request_budget, Rng rng, bool tracing,
-         const std::vector<TypePoints>* tables, double shard_share,
-         const std::vector<obs::stream::NodeClassInfo>* stream_classes,
          std::uint32_t shard_index)
       : sim_(sim),
         classes_(classes),
         cumulative_(cumulative),
         options_(options),
-        nodes_(std::move(nodes)),
+        tables_(tables),
+        nodes_(shard_nodes(tables, shard_index, options.shards)),
         request_budget_(request_budget),
         rng_(rng),
         tracing_(tracing),
@@ -406,8 +390,10 @@ class Engine final : public control::Actuator {
 #endif
     if (options_.control.enabled()) {
       copts_ = &options_.control;
-      tables_ = tables;
-      shard_share_ = shard_share;
+      // Each shard's controller clone governs its node slice against a
+      // proportional share of any global budget.
+      shard_share_ = static_cast<double>(nodes_.size()) /
+                     static_cast<double>(node_count(tables));
       controller_ = copts_->controller->clone();
       window_shed_.assign(classes.size(), 0);
       window_sojourns_.resize(classes.size());
@@ -429,13 +415,14 @@ class Engine final : public control::Actuator {
     // Streaming telemetry: a per-shard Collector fed by the event hooks
     // below. Purely observational (no RNG draws, no DES events), so the
     // simulation outcome is byte-identical with it on or off.
-    if (options_.stream.enabled() && stream_classes != nullptr) {
-      std::vector<obs::stream::NodeClassInfo> cls = *stream_classes;
-      for (auto& c : cls) c.nodes = 0;
-      std::vector<Watts> floors(cls.size(), Watts{0.0});
+    if (options_.stream.enabled()) {
+      std::vector<obs::stream::NodeClassInfo> cls(tables.size());
+      for (std::size_t t = 0; t < tables.size(); ++t)
+        cls[t].name = tables[t].name;
+      std::vector<Watts> floors(tables.size(), Watts{0.0});
       for (const Node& n : nodes_) {
-        ++cls[n.type_ord].nodes;
-        floors[n.type_ord] += n.idle;
+        ++cls[n.type].nodes;
+        floors[n.type] += tables[n.type].idle;
       }
       stream_ = std::make_unique<obs::stream::Collector>(
           options_.stream, std::move(cls), std::move(floors));
@@ -495,8 +482,9 @@ class Engine final : public control::Actuator {
   }
 
   // ---- merged outputs ----
-  std::uint64_t offered = 0, admitted = 0, shed_bucket = 0, shed_queue = 0,
-                retries = 0, completed = 0, failed = 0;
+  /// The two shed causes; every other total comes from the per-class
+  /// ledgers, whose `shed` merges both.
+  std::uint64_t shed_bucket = 0, shed_queue = 0;
   [[nodiscard]] Seconds makespan() const { return makespan_; }
   [[nodiscard]] Joules dynamic_energy() const { return dynamic_energy_; }
   [[nodiscard]] std::vector<ClassSamples>& per_class() { return per_class_; }
@@ -518,7 +506,7 @@ class Engine final : public control::Actuator {
         sleep_spans_.push_back(
             {n.sleep_since,
              Seconds{std::numeric_limits<double>::infinity()},
-             n.idle - n.sleep_power});
+             idle(n) - copts_->sleep_power});
       }
     }
     Joules savings{0.0};
@@ -544,7 +532,7 @@ class Engine final : public control::Actuator {
   /// the next one. Mirrors the seed code's draw order: class coin, then
   /// attempt (which may draw for node picks), then the generator.
   void pump_arrival() {
-    if (offered >= request_budget_) {
+    if (offered_ >= request_budget_) {
       arrivals_done_ = true;
       return;
     }
@@ -553,7 +541,7 @@ class Engine final : public control::Actuator {
       const double coin = rng_.uniform01();
       while (cls + 1 < classes_.size() && coin > cumulative_[cls]) ++cls;
     }
-    arrive(cls, offered);
+    arrive(cls, offered_);
     const Seconds next = gen_->next(sim_.now(), rng_);
     if (next.value() < std::numeric_limits<double>::infinity())
       schedule_pump(next);
@@ -598,7 +586,7 @@ class Engine final : public control::Actuator {
   }
 
   void arrive(std::size_t cls, std::uint64_t index) {
-    ++offered;
+    ++offered_;
     if (copts_ != nullptr) ++window_arrivals_;
     Request req;
     req.cls = static_cast<std::uint32_t>(cls);
@@ -665,7 +653,7 @@ class Engine final : public control::Actuator {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const Node& n = nodes_[i];
       control::NodeStatus& st = status_buf_[i];
-      st.type = n.type_ord;
+      st.type = n.type;
       st.point = n.point;
       st.state = n.pstate;
       st.queued = n.queued;
@@ -674,11 +662,11 @@ class Engine final : public control::Actuator {
           window.value() > 0.0
               ? std::min(1.0, n.window_busy.value() / window.value())
               : 0.0;
-      st.idle_power = n.idle;
-      st.sleep_power = n.sleep_power;
+      st.idle_power = idle(n);
+      st.sleep_power = copts_->sleep_power;
       worst += n.pstate == control::PowerState::kSleeping
-                   ? n.sleep_power
-                   : (*tables_)[n.type_ord].busy_worst[n.point];
+                   ? copts_->sleep_power
+                   : point_row(n).busy_worst;
     }
     class_buf_.resize(classes_.size());
     for (std::size_t c = 0; c < classes_.size(); ++c) {
@@ -793,11 +781,11 @@ class Engine final : public control::Actuator {
       double rate = 0.0;
       for (const Node& n : nodes_) {
         if (n.pstate == control::PowerState::kSleeping) {
-          predicted += n.sleep_power;
+          predicted += copts_->sleep_power;
         } else {
-          predicted += (*tables_)[n.type_ord].busy_worst[n.point];
+          predicted += point_row(n).busy_worst;
           if (n.pstate == control::PowerState::kActive)
-            rate += (*tables_)[n.type_ord].rate[n.point];
+            rate += point_row(n).rate;
         }
       }
       rec.predicted_power = predicted;
@@ -813,6 +801,13 @@ class Engine final : public control::Actuator {
     last_tick_ = now;
     ++csum_.ticks;
     if (event) ++csum_.event_ticks;
+  }
+
+  [[nodiscard]] Watts idle(const Node& n) const {
+    return tables_[n.type].idle;
+  }
+  [[nodiscard]] const TypeTable::Point& point_row(const Node& n) const {
+    return tables_[n.type].points[n.point];
   }
 
   void note_power(Seconds t, Watts delta) {
@@ -849,9 +844,9 @@ class Engine final : public control::Actuator {
     if (n.queued == 0 && n.free_at <= now) {
       n.pstate = control::PowerState::kSleeping;
       n.sleep_since = now;
-      note_power(now, n.sleep_power - n.idle);
+      note_power(now, copts_->sleep_power - idle(n));
       if (stream_ != nullptr)
-        stream_->on_floor_delta(n.type_ord, now, n.sleep_power - n.idle);
+        stream_->on_floor_delta(n.type, now, copts_->sleep_power - idle(n));
     } else {
       n.pstate = control::PowerState::kDraining;  // sleeps when it empties
     }
@@ -870,16 +865,17 @@ class Engine final : public control::Actuator {
     const control::PowerState prev = n.pstate;
     const Seconds now = sim_.now();
     if (n.pstate == control::PowerState::kSleeping) {
-      sleep_spans_.push_back({n.sleep_since, now, n.idle - n.sleep_power});
-      note_power(now, n.idle - n.sleep_power);
+      sleep_spans_.push_back(
+          {n.sleep_since, now, idle(n) - copts_->sleep_power});
+      note_power(now, idle(n) - copts_->sleep_power);
       csum_.wake_energy += copts_->wake_energy;
       ++csum_.wakes;
 #if HCEP_OBS
       if (o_ != nullptr) o_->metrics.add(ctrl_wakes_m_);
 #endif
       if (stream_ != nullptr) {
-        stream_->on_floor_delta(n.type_ord, now, n.idle - n.sleep_power);
-        stream_->on_wake_energy(n.type_ord, now, copts_->wake_energy);
+        stream_->on_floor_delta(n.type, now, idle(n) - copts_->sleep_power);
+        stream_->on_wake_energy(n.type, now, copts_->wake_energy);
       }
       // Boot delay: powered and drawing idle, serving only afterwards.
       n.free_at = std::max(n.free_at, now + copts_->wake_delay);
@@ -894,15 +890,15 @@ class Engine final : public control::Actuator {
 
   bool set_operating_point(std::size_t i, std::uint32_t p) override {
     Node& n = nodes_[i];
-    const TypePoints& t = (*tables_)[n.type_ord];
+    const TypeTable& t = tables_[n.type];
     if (p >= t.points.size() || p == n.point) return false;
     record_transition(i, obs::stream::DecisionRecord::Transition::Kind::kPoint,
                       n.point, p);
+    // Future dispatches read the new rows; requests in flight carry the
+    // point they were dispatched at.
     n.point = p;
-    // In-flight service times are already fixed; future dispatches read
-    // the new tables. Copy-assign reuses capacity (equal sizes).
-    n.service = t.service[p];
-    n.dynamic = t.dynamic[p];
+    n.service = t.service_row(p);
+    n.dynamic = t.dynamic_row(p);
     ++csum_.point_changes;
 #if HCEP_OBS
     if (o_ != nullptr) o_->metrics.add(ctrl_points_m_);
@@ -911,19 +907,19 @@ class Engine final : public control::Actuator {
   }
 
   [[nodiscard]] std::size_t num_points(std::uint32_t type) const override {
-    return (*tables_)[type].points.size();
+    return tables_[type].points.size();
   }
   [[nodiscard]] Watts busy_power(std::size_t node,
                                  std::uint32_t p) const override {
-    return (*tables_)[nodes_[node].type_ord].busy_worst[p];
+    return tables_[nodes_[node].type].points[p].busy_worst;
   }
   [[nodiscard]] Seconds mean_service(std::size_t node,
                                      std::uint32_t p) const override {
-    return (*tables_)[nodes_[node].type_ord].mean_service[p];
+    return tables_[nodes_[node].type].points[p].mean_service;
   }
   [[nodiscard]] double service_rate(std::size_t node,
                                     std::uint32_t p) const override {
-    return (*tables_)[nodes_[node].type_ord].rate[p];
+    return tables_[nodes_[node].type].points[p].rate;
   }
 
   /// Node choice: cluster::choose_node over the active nodes — neither
@@ -981,7 +977,6 @@ class Engine final : public control::Actuator {
       return;
     }
 
-    ++admitted;
     ++per_class_[req.cls].admitted;
     Node& n = nodes_[i];
     ++n.queued;
@@ -992,12 +987,11 @@ class Engine final : public control::Actuator {
     if (copts_ != nullptr) {
       if (n.pstate != control::PowerState::kActive)
         csum_.all_dispatches_available = false;
-      n.inflight.emplace_back(n.service[req.cls], n.dynamic[req.cls]);
       note_power(start, n.dynamic[req.cls]);
       note_power(done, n.dynamic[req.cls] * -1.0);
     }
     if (stream_ != nullptr)
-      stream_->on_dispatch(n.type_ord, now, start, done, n.dynamic[req.cls]);
+      stream_->on_dispatch(n.type, now, start, done, n.dynamic[req.cls]);
 #if HCEP_OBS
     if (o_ != nullptr) {
       o_->metrics.add(admitted_m_);
@@ -1006,16 +1000,17 @@ class Engine final : public control::Actuator {
                          wait.value());
     }
 #endif
-    // The kernel hot path: {Engine*, index, Request, Seconds} is exactly
-    // des::Callback's 48-byte inline budget — no allocation per event.
-    auto cb = [this, i, req, wait]() { finish(i, req, wait); };
+    // The kernel hot path: {Engine*, node, point, Request, Seconds} is
+    // exactly des::Callback's 48-byte inline budget — no allocation per
+    // event. The point fixes the request's terms at dispatch.
+    auto cb = [this, node = static_cast<std::uint32_t>(i), point = n.point,
+               req, wait]() { finish(node, point, req, wait); };
     static_assert(des::Callback::stores_inline<decltype(cb)>);
     sim_.schedule_at(done, std::move(cb));
   }
 
   void reject(Request req) {
     if (req.attempt < options_.retry.max_attempts) {
-      ++retries;
       ++per_class_[req.cls].retries;
 #if HCEP_OBS
       if (o_ != nullptr) o_->metrics.add(retries_m_);
@@ -1026,7 +1021,6 @@ class Engine final : public control::Actuator {
       static_assert(des::Callback::stores_inline<decltype(cb)>);
       sim_.schedule_in(delay, std::move(cb));
     } else {
-      ++failed;
       ++per_class_[req.cls].failed;
       makespan_ = std::max(makespan_, sim_.now());
       --inflight_;
@@ -1050,22 +1044,19 @@ class Engine final : public control::Actuator {
     records_[slot] = rec;
   }
 
-  void finish(std::size_t node_index, Request req, Seconds wait) {
+  void finish(std::uint32_t node_index, std::uint32_t point, Request req,
+              Seconds wait) {
     const std::size_t cls = req.cls;
     const Seconds first_arrival = req.first_arrival;
     Node& node = nodes_[node_index];
     --node.queued;
     ++node.served;
-    // Service time and dynamic power are fixed at dispatch: under a
-    // controller the node's tables may have moved since (operating-point
-    // change mid-flight), so charge the dispatch-time values.
-    Seconds service = node.service[cls];
-    Watts dynamic = node.dynamic[cls];
-    if (copts_ != nullptr) {
-      service = node.inflight.front().first;
-      dynamic = node.inflight.front().second;
-      node.inflight.pop_front();
-    }
+    // Service time and dynamic power are fixed at dispatch: a controller
+    // may have moved the node's point since, so charge the terms of the
+    // point the request was dispatched at.
+    const TypeTable& t = tables_[node.type];
+    const Seconds service = t.service_row(point)[cls];
+    const Watts dynamic = t.dynamic_row(point)[cls];
     node.busy_time += service;
     const Joules joules = dynamic * service;
     dynamic_energy_ += joules;
@@ -1075,7 +1066,6 @@ class Engine final : public control::Actuator {
     per_class_[cls].wait.add(wait.value());
     per_class_[cls].service.add(service.value());
     per_class_[cls].sojourn.add(sojourn.value());
-    ++completed;
     ++per_class_[cls].completed;
     if (options_.record_requests)
       record(RequestRecord{req.index, req.cls, 0, sojourn});
@@ -1084,17 +1074,17 @@ class Engine final : public control::Actuator {
     makespan_ = std::max(makespan_, sim_.now());
     --inflight_;
     if (stream_ != nullptr)
-      stream_->on_complete(node.type_ord, sim_.now(), sojourn);
+      stream_->on_complete(node.type, sim_.now(), sojourn);
     if (copts_ != nullptr) {
       node.window_busy += service;
       window_sojourns_[cls].push_back(sojourn.value());
       if (node.pstate == control::PowerState::kDraining && node.queued == 0) {
         node.pstate = control::PowerState::kSleeping;
         node.sleep_since = sim_.now();
-        note_power(sim_.now(), node.sleep_power - node.idle);
+        note_power(sim_.now(), copts_->sleep_power - t.idle);
         if (stream_ != nullptr) {
-          stream_->on_floor_delta(node.type_ord, sim_.now(),
-                                  node.sleep_power - node.idle);
+          stream_->on_floor_delta(node.type, sim_.now(),
+                                  copts_->sleep_power - t.idle);
         }
       }
     }
@@ -1112,8 +1102,10 @@ class Engine final : public control::Actuator {
   const std::vector<TrafficClass>& classes_;
   const std::vector<double>& cumulative_;
   const TrafficOptions& options_;
+  const std::vector<TypeTable>& tables_;
   std::vector<Node> nodes_;
   std::uint64_t request_budget_;
+  std::uint64_t offered_ = 0;  ///< first-attempt arrivals: the pump's count
   Rng rng_;
   bool tracing_;
   std::unique_ptr<ArrivalProcess> gen_;
@@ -1125,7 +1117,6 @@ class Engine final : public control::Actuator {
   std::vector<ClassSamples> per_class_;
   // --- closed-loop state (inert without a controller) ---
   const control::ControlOptions* copts_ = nullptr;
-  const std::vector<TypePoints>* tables_ = nullptr;
   std::unique_ptr<control::Controller> controller_;
   double shard_share_ = 1.0;
   std::size_t dispatchable_ = 0;  ///< active nodes (all, in open loop)
@@ -1176,16 +1167,10 @@ double cluster_capacity_per_s(const model::ClusterSpec& cluster,
                               const std::vector<TrafficClass>& classes) {
   cluster.validate();
   require(!classes.empty(), "cluster_capacity_per_s: no traffic classes");
-  const std::vector<Node> nodes = materialize_nodes(cluster, classes);
-  double weight_total = 0.0;
-  for (const auto& c : classes) weight_total += c.weight;
   double capacity = 0.0;
-  for (const auto& n : nodes) {
-    double mean_service = 0.0;
-    for (std::size_t s = 0; s < classes.size(); ++s)
-      mean_service +=
-          classes[s].weight / weight_total * n.service[s].value();
-    capacity += 1.0 / mean_service;
+  for (const TypeTable& t : build_type_tables(cluster, classes)) {
+    for (unsigned k = 0; k < t.count; ++k)
+      capacity += t.points[t.configured].rate;
   }
   return capacity;
 }
@@ -1217,51 +1202,17 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
             "simulate_traffic: control.min_event_spacing must be >= 0");
   }
 
-  std::vector<Node> all_nodes = materialize_nodes(cluster, classes);
-  require(options.shards <= all_nodes.size(),
+  const std::vector<TypeTable> tables = build_type_tables(cluster, classes);
+  const std::size_t total_nodes = node_count(tables);
+  require(total_nodes <= std::numeric_limits<std::uint32_t>::max(),
+          "simulate_traffic: more nodes than a completion event can index");
+  require(options.shards <= total_nodes,
           "simulate_traffic: more shards than nodes");
   const std::vector<double> cumulative = cumulative_weights(classes);
   const std::size_t shard_count = options.shards;
-  const std::size_t total_nodes = all_nodes.size();
 
-  // Controlled runs additionally materialize the per-type operating-point
-  // ladders and stamp each node with its type ordinal + configured point.
-  // materialize_nodes iterates present groups in spec order, emitting
-  // g.count nodes per group, so the stamping below walks the same order.
-  const bool streaming = options.stream.enabled();
-  std::vector<TypePoints> point_tables;
-  if (controlled) point_tables = materialize_point_tables(cluster, classes);
-  if (controlled || streaming) {
-    std::size_t ni = 0;
-    std::uint32_t gi = 0;
-    for (const auto& g : cluster.groups) {
-      if (g.count == 0) continue;
-      for (unsigned k = 0; k < g.count; ++k, ++ni) {
-        all_nodes[ni].type_ord = gi;
-        if (controlled) {
-          all_nodes[ni].point = point_tables[gi].configured;
-          all_nodes[ni].sleep_power = options.control.sleep_power;
-        }
-      }
-      ++gi;
-    }
-  }
-  const std::vector<TypePoints>* tables_ptr =
-      controlled ? &point_tables : nullptr;
-
-  // Node-class identity rows of the streamed timeline: one per present
-  // group, in spec order — the same ordinals type_ord indexes.
-  std::vector<obs::stream::NodeClassInfo> stream_classes;
-  if (streaming) {
-    for (const auto& g : cluster.groups) {
-      if (g.count == 0) continue;
-      stream_classes.push_back(obs::stream::NodeClassInfo{
-          g.spec.name, static_cast<std::uint64_t>(g.count)});
-    }
-  }
-  const std::vector<obs::stream::NodeClassInfo>* stream_ptr =
-      streaming ? &stream_classes : nullptr;
-
+  // The event loops live in the blocks below, so their event arenas are
+  // freed before the merge; the merge reads only the engines.
   std::vector<std::unique_ptr<Engine>> engines;
   std::string process_name;
 
@@ -1270,12 +1221,11 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     // byte-identical (same RNG draw order, same event sequence) to the
     // pre-sharding implementation. Assigned-arrival runs reuse this loop
     // with the pump swapped for the replay feed over the caller's vector.
-    auto sim = std::make_unique<des::Simulator>();
+    des::Simulator sim;
     engines.push_back(std::make_unique<Engine>(
-        *sim, classes, cumulative, options, std::move(all_nodes),
+        sim, classes, cumulative, options, tables,
         assigned != nullptr ? assigned->size() : options.requests,
-        Rng(options.seed), /*tracing=*/true, tables_ptr,
-        /*shard_share=*/1.0, stream_ptr, /*shard_index=*/0));
+        Rng(options.seed), /*tracing=*/true, /*shard_index=*/0));
     engines[0]->start_control();
     ReplaySource whole;
     if (assigned != nullptr) {
@@ -1289,41 +1239,31 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
       process_name = gen->name();
       engines[0]->start_pump(*gen);
     }
-    sim->run();
+    sim.run();
   } else {
     // Sharded path: the arrival stream (time and class of every request)
     // comes from one sequential generator seeded like the single-shard
     // run — the same stream regardless of shard count — dealt round-robin
     // with the nodes across shards, and each shard replays its slice
-    // through the replay feed. Shards share no mutable state, so the
-    // windows can run in parallel, with the stream produced beside them;
-    // per-request tracer spans are disabled (thread interleaving would
-    // make the trace nondeterministic) while the atomic metrics counters
-    // stay on.
+    // through the replay feed. Shards share no mutable state, so their
+    // event loops can run in parallel, with the stream produced beside
+    // them; per-request tracer spans are disabled (thread interleaving
+    // would make the trace nondeterministic) while the atomic metrics
+    // counters stay on.
     std::unique_ptr<ArrivalProcess> gen = process->clone();
     process_name = gen->name();
     ShardStream stream(shard_count, options.requests, std::move(gen),
                        Rng(options.seed), cumulative);
-
-    std::vector<std::vector<Node>> shard_nodes(shard_count);
-    for (std::size_t i = 0; i < all_nodes.size(); ++i)
-      shard_nodes[i % shard_count].push_back(std::move(all_nodes[i]));
-
-    // The traffic shards exchange no cross-shard events, so the
-    // conservative window can span the whole run: one window, one
-    // barrier, full parallelism.
-    des::ShardedSimulator sharded(shard_count, Seconds{1e300});
+    // One event loop per shard, each in its own allocation: adjacent
+    // loops would share cache lines that every event writes.
+    std::vector<std::unique_ptr<des::Simulator>> sims;
     for (std::size_t s = 0; s < shard_count; ++s) {
-      // Each shard's controller clone governs its node slice against a
-      // proportional share of any global budget.
-      const double share = static_cast<double>(shard_nodes[s].size()) /
-                           static_cast<double>(total_nodes);
+      sims.push_back(std::make_unique<des::Simulator>());
       engines.push_back(std::make_unique<Engine>(
-          sharded.shard(s), classes, cumulative, options,
-          std::move(shard_nodes[s]), stream.source(s).planned,
+          *sims[s], classes, cumulative, options, tables,
+          stream.source(s).planned,
           Rng(options.seed).split(static_cast<unsigned>(s)),
-          /*tracing=*/false, tables_ptr, share, stream_ptr,
-          static_cast<std::uint32_t>(s)));
+          /*tracing=*/false, static_cast<std::uint32_t>(s)));
     }
     // The producer runs beside the shards only when they run on the
     // pool. Otherwise (serial shards, a one-thread pool, or a caller that
@@ -1338,7 +1278,12 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
       engines[s]->start_replay(stream.source(s), /*claim_order=*/true);
       engines[s]->start_control();
     }
-    sharded.run(options.parallel_shards);
+    if (options.parallel_shards) {
+      parallel_for(
+          0, shard_count, [&](std::size_t s) { sims[s]->run(); }, 1);
+    } else {
+      for (std::size_t s = 0; s < shard_count; ++s) sims[s]->run();
+    }
     stream.finish();
   }
 
@@ -1350,18 +1295,20 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
 
   Joules dynamic_energy{0.0};
   Seconds makespan{0.0};
-  std::vector<Node*> merged_nodes;
+  Watts idle_floor{0.0};
   for (auto& e : engines) {
-    out.offered += e->offered;
-    out.admitted += e->admitted;
+    for (const ClassSamples& c : e->per_class()) {
+      out.offered += c.offered;
+      out.admitted += c.admitted;
+      out.retries += c.retries;
+      out.completed += c.completed;
+      out.failed += c.failed;
+    }
     out.shed_bucket += e->shed_bucket;
     out.shed_queue += e->shed_queue;
-    out.retries += e->retries;
-    out.completed += e->completed;
-    out.failed += e->failed;
     dynamic_energy += e->dynamic_energy();
     makespan = std::max(makespan, e->makespan());
-    for (Node& n : e->nodes()) merged_nodes.push_back(&n);
+    for (const Node& n : e->nodes()) idle_floor += tables[n.type].idle;
   }
 
   if (options.record_requests) {
@@ -1382,12 +1329,10 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     }
   }
 
-  Watts idle_floor{0.0};
-  for (const Node* n : merged_nodes) idle_floor += n->idle;
   const Joules idle_energy = idle_floor * makespan;
   out.makespan = makespan;
 
-  if (streaming) {
+  if (options.stream.enabled()) {
     std::vector<obs::stream::Collector*> collectors;
     for (auto& e : engines) collectors.push_back(e->stream());
     out.timeline =
@@ -1500,23 +1445,26 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
   for (std::size_t f = 0; f < 3; ++f)
     out.*kOverall[f] = overall[f].summary();
 
-  // Per node type (dispatch-result convention: busy fraction is averaged
-  // over the nodes of the type).
-  for (const Node* n : merged_nodes) {
-    auto it = std::find_if(
-        out.nodes.begin(), out.nodes.end(),
-        [&](const cluster::NodeLoad& l) { return l.node_name == n->type; });
-    if (it == out.nodes.end()) {
-      out.nodes.push_back(cluster::NodeLoad{n->type, 0, 0.0});
-      it = out.nodes.end() - 1;
+  // Per node type name, in shard order of first appearance (dispatch-
+  // result convention: busy fraction is averaged over the type's nodes).
+  for (auto& e : engines) {
+    for (const Node& n : e->nodes()) {
+      const std::string& name = tables[n.type].name;
+      auto it = std::find_if(
+          out.nodes.begin(), out.nodes.end(),
+          [&](const cluster::NodeLoad& l) { return l.node_name == name; });
+      if (it == out.nodes.end()) {
+        out.nodes.push_back(cluster::NodeLoad{name, 0, 0.0});
+        it = out.nodes.end() - 1;
+      }
+      it->jobs_served += n.served;
+      it->busy_fraction += n.busy_time.value();
     }
-    it->jobs_served += n->served;
-    it->busy_fraction += n->busy_time.value();
   }
   for (auto& l : out.nodes) {
     double count = 0;
-    for (const Node* n : merged_nodes)
-      if (n->type == l.node_name) count += 1.0;
+    for (const TypeTable& t : tables)
+      if (t.name == l.node_name) count += t.count;
     if (makespan.value() > 0.0)
       l.busy_fraction /= std::max(1.0, count) * makespan.value();
   }

@@ -1,18 +1,16 @@
 // Discrete-event kernel: ordering, FIFO tie-breaking, horizons, the
-// calendar-vs-heap oracle cross-check, callback SBO, and sharded
-// conservative-lookahead execution.
+// calendar-vs-heap oracle cross-check, claimed sequence numbers and
+// callback SBO.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "hcep/des/callback.hpp"
-#include "hcep/des/sharded.hpp"
 #include "hcep/des/simulator.hpp"
 #include "hcep/util/error.hpp"
 
@@ -295,103 +293,6 @@ TEST(DesCallback, EmplaceReplacesInPlace) {
   EXPECT_EQ(*counter, 10);
   cb.emplace([] {});
   EXPECT_EQ(counter.use_count(), 1);  // old capture destroyed
-}
-
-// ---------------------------------------------------------------------------
-// ShardedSimulator: conservative lookahead, deterministic merge.
-
-struct ShardTrace {
-  std::vector<std::string> events;
-};
-
-/// A two-shard ping-pong with shard-local chatter; returns the exact
-/// per-shard event interleaving.
-std::vector<ShardTrace> run_sharded(bool parallel) {
-  ShardedSimulator sharded(2, Seconds{0.5});
-  auto traces = std::vector<ShardTrace>(2);
-  auto* tr = traces.data();
-  struct Hooks {
-    std::function<void(std::size_t, int)> ping;
-  };
-  Hooks cell;  // owned here; the lambdas point at it (see above)
-  Hooks* const hooks = &cell;
-  auto* sh = &sharded;
-  hooks->ping = [sh, tr, hooks](std::size_t me, int hops) {
-    tr[me].events.push_back("ping@" +
-                            std::to_string(sh->shard(me).now().value()));
-    // Local follow-up inside the window.
-    sh->shard(me).schedule_in(Seconds{0.01}, [tr, me, sh] {
-      tr[me].events.push_back("local@" +
-                              std::to_string(sh->shard(me).now().value()));
-    });
-    if (hops > 0) {
-      const std::size_t other = 1 - me;
-      sh->post(me, other, sh->shard(me).now() + Seconds{0.6},
-               [hooks, other, hops] { hooks->ping(other, hops - 1); });
-    }
-  };
-  sharded.schedule_on(0, Seconds{0.0}, [hooks] { hooks->ping(0, 8); });
-  sharded.run(parallel);
-  return traces;
-}
-
-TEST(DesSharded, ParallelMatchesSerialExactly) {
-  const auto serial = run_sharded(false);
-  const auto parallel = run_sharded(true);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t s = 0; s < serial.size(); ++s) {
-    EXPECT_EQ(serial[s].events, parallel[s].events) << "shard " << s;
-  }
-  EXPECT_FALSE(serial[0].events.empty());
-  EXPECT_FALSE(serial[1].events.empty());
-}
-
-TEST(DesSharded, RepeatedRunsAreIdentical) {
-  const auto a = run_sharded(true);
-  const auto b = run_sharded(true);
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    EXPECT_EQ(a[s].events, b[s].events) << "shard " << s;
-  }
-}
-
-TEST(DesSharded, PostsBelowLookaheadAreRejected) {
-  ShardedSimulator sharded(2, Seconds{1.0});
-  EXPECT_THROW(sharded.post(0, 1, Seconds{0.5}, [] {}), PreconditionError);
-  // At exactly now + lookahead the post is legal.
-  sharded.post(0, 1, Seconds{1.0}, [] {});
-  sharded.run(false);
-  EXPECT_EQ(sharded.events_processed(), 1u);
-}
-
-TEST(DesSharded, SimultaneousPostsDeliverInSenderOrder) {
-  // Both shards post to shard 0 at the same absolute time; delivery must
-  // order by (time, sender, per-sender index) — byte-stable regardless
-  // of which shard's window callback ran first.
-  std::vector<int> order;
-  for (int rep = 0; rep < 2; ++rep) {
-    std::vector<int> this_run;
-    ShardedSimulator sharded(3, Seconds{0.1});
-    auto* o = &this_run;
-    for (std::size_t sender : {2u, 1u}) {
-      sharded.schedule_on(sender, Seconds{0.0}, [&sharded, sender, o] {
-        for (int k = 0; k < 3; ++k) {
-          sharded.post(sender, 0, Seconds{5.0},
-                       [o, sender, k] {
-                         o->push_back(static_cast<int>(sender) * 10 + k);
-                       });
-        }
-      });
-    }
-    sharded.run(true);
-    ASSERT_EQ(this_run.size(), 6u);
-    if (rep == 0) {
-      order = this_run;
-      // Sender 1 before sender 2 at equal times, FIFO within a sender.
-      EXPECT_EQ(this_run, (std::vector<int>{10, 11, 12, 20, 21, 22}));
-    } else {
-      EXPECT_EQ(order, this_run);
-    }
-  }
 }
 
 }  // namespace

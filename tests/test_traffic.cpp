@@ -841,6 +841,16 @@ TEST(Traffic, Validation) {
   EXPECT_THROW((void)simulate_traffic(cluster, zero_weight,
                                       *make_poisson(1.0), options),
                PreconditionError);
+  // The capacity of a class mix takes the same weights: a zero weight
+  // would divide by zero, a negative one would net against the others.
+  const auto rack = model::make_a9_k10_cluster(4, 2);
+  EXPECT_THROW((void)cluster_capacity_per_s(rack, zero_weight),
+               PreconditionError);
+  const std::vector<TrafficClass> negative = {
+      TrafficClass{wl("EP"), 2.0, {}},
+      TrafficClass{wl("memcached"), -1.0, {}}};
+  EXPECT_THROW((void)cluster_capacity_per_s(rack, negative),
+               PreconditionError);
   options.requests = 0;
   EXPECT_THROW((void)simulate_traffic(cluster, one_class(),
                                       *make_poisson(1.0), options),
@@ -950,6 +960,41 @@ TEST(TrafficPinned, ShardedArrivalsRunAheadOfSameInstantTicks) {
   EXPECT_GT(r.control.sleeps, 0u);
   EXPECT_EQ(fnv1a(r.to_json().dump() + r.control.to_json().dump()),
             0xd82ea92006bdafbdULL);
+}
+
+TEST(TrafficPinned, OperatingPointsMoveUnderInFlightRequests) {
+  // A looped burst cycle whose first arrival lands at t = 0, so on two
+  // shards the first tick already finds a request in service. The DVFS
+  // governor (one shard) moves points under queued requests all run;
+  // the power cap (two shards) throttles at that first tick. Each
+  // completion must charge the service time and power it was dispatched
+  // with, and the power trace records the same terms.
+  auto classes = two_classes();
+  classes[1].slo = SloTarget{Seconds{4.0}, 0.95};
+  std::vector<Seconds> cycle;
+  for (int k = 0; k < 12; ++k) cycle.push_back(Seconds{0.04 * k});
+  for (int k = 0; k < 18; ++k) cycle.push_back(Seconds{0.5 + k / 6.0});
+  TrafficOptions options;
+  options.requests = 4000;
+  options.seed = 20261018;
+  options.control.period = Seconds{0.5};
+  options.control.record_power_trace = true;
+  options.stream.window = Seconds{5.0};
+  const auto run = [&](std::shared_ptr<const control::Controller> c,
+                       std::size_t shards) {
+    TrafficOptions o = options;
+    o.control.controller = std::move(c);
+    o.shards = shards;
+    const auto r = simulate_traffic(model::make_a9_k10_cluster(4, 2), classes,
+                                    *make_replay(cycle, /*loop=*/true), o);
+    EXPECT_GT(r.control.point_changes, 0u);
+    return r.to_json().dump() + r.control.to_json().dump() +
+           r.timeline.to_json().dump();
+  };
+  const std::string governed = run(control::make_dvfs_governor(), 1);
+  const std::string capped =
+      run(control::make_power_cap({.cap = Watts{120.0}}), 2);
+  EXPECT_EQ(fnv1a(governed + capped), 0x289647c169e1c5beULL);
 }
 
 }  // namespace
