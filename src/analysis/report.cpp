@@ -37,12 +37,6 @@ void render_observability_section(const core::PaperStudy& study,
   }
 
   const obs::Trace trace = obs::Trace::from(observer.tracer);
-  if (trace.events.empty()) {
-    os << "*(no trace events — observability instrumentation is compiled "
-          "out; rebuild with -DHCEP_OBS=ON)*\n\n";
-    return;
-  }
-
   const obs::MetricsSnapshot snapshot = observer.metrics.snapshot();
   const double interval = result.window.value() / 8.0;
   const obs::RunReport report = obs::make_run_report(

@@ -104,7 +104,6 @@ AutoscaleResult autoscale_replay(const model::TimeEnergyModel& m,
     return s;
   };
 
-#if HCEP_OBS
   obs::Observer* o = obs::current();
   obs::StringId cat_s = 0, up_s = 0, down_s = 0, delta_s = 0, commit_s = 0;
   obs::MetricId decisions_m = 0;
@@ -118,7 +117,6 @@ AutoscaleResult autoscale_replay(const model::TimeEnergyModel& m,
     o->tracer.counter(0.0, cat_s, commit_s,
                       static_cast<double>(committed));
   }
-#endif
   for (double t = 0.0; t < horizon; t += dt) {
     const double demand = trace.at(Seconds{t}) * fleet_capacity;
     const double target = demand * (1.0 + options.headroom);
@@ -134,7 +132,6 @@ AutoscaleResult autoscale_replay(const model::TimeEnergyModel& m,
     } else if (want < committed) {
       // Park immediately (LIFO within the efficiency order).
     }
-#if HCEP_OBS
     if (o != nullptr && want != committed) {
       o->metrics.add(decisions_m);
       o->tracer.instant(t, cat_s, want > committed ? up_s : down_s, delta_s,
@@ -142,7 +139,6 @@ AutoscaleResult autoscale_replay(const model::TimeEnergyModel& m,
                             static_cast<double>(committed));
       o->tracer.counter(t, cat_s, commit_s, static_cast<double>(want));
     }
-#endif
     committed = want;
     segments.push_back(aggregate(t));
     // A boot completing mid-step changes the aggregates: add an edge.

@@ -92,7 +92,6 @@ FailureResult simulate_with_failures(const model::TimeEnergyModel& m,
   std::sort(changes.begin(), changes.end(),
             [](const Change& a, const Change& b) { return a.t < b.t; });
 
-#if HCEP_OBS
   // Failure/repair instants plus a nodes_up counter track, so the fleet
   // timeline renders alongside the power tracks in chrome://tracing.
   if (obs::Observer* o = obs::current(); o != nullptr) {
@@ -111,7 +110,6 @@ FailureResult simulate_with_failures(const model::TimeEnergyModel& m,
       o->tracer.counter(ch.t, cat, up_s, up);
     }
   }
-#endif
 
   // Build aggregate segments.
   std::vector<Segment> segments;

@@ -71,13 +71,11 @@ struct SimCtx {
   Seconds window{};
   Rng rng;
   obs::Observer* o = nullptr;
-#if HCEP_OBS
   obs::MetricId jobs_arrived_m = 0, jobs_completed_m = 0;
   obs::MetricId arrival_ev_m = 0, completion_ev_m = 0, power_ev_m = 0;
   obs::StringId cat_s = 0, job_s = 0, wait_s = 0, arrival_s = 0, batch_s = 0;
   obs::StringId node_cat_s = 0, node_id_s = 0;
   std::vector<obs::StringId> group_name_s;
-#endif
   des::Simulator sim;
   // The exact power timeline goes through the probe: same PowerTrace as
   // before, plus a "cluster_W" counter track on the active tracer.
@@ -97,12 +95,9 @@ struct SimCtx {
         options(opts),
         plan(run_plan),
         rng(opts.seed),
-#if HCEP_OBS
         o(obs::current()),
-#endif
         probe(o, "cluster_W"),
         level(run_plan.idle_power) {
-#if HCEP_OBS
     if (o != nullptr) {
       jobs_arrived_m = o->metrics.counter("sim.jobs_arrived");
       jobs_completed_m = o->metrics.counter("sim.jobs_completed");
@@ -122,7 +117,6 @@ struct SimCtx {
       for (const auto& g : m.cluster().groups)
         group_name_s.push_back(o->tracer.intern(g.spec.name));
     }
-#endif
     probe.step(Seconds{0.0}, level);
     out.counters.reserve(m.cluster().groups.size());
     for (const auto& g : m.cluster().groups)
@@ -132,27 +126,21 @@ struct SimCtx {
   void adjust(Watts delta) {
     level += delta;
     probe.step(sim.now(), level);
-#if HCEP_OBS
     if (o != nullptr) o->metrics.add(power_ev_m);
-#endif
   }
 
   void group_power_on(std::size_t i, Watts dyn) {
     adjust(dyn);
-#if HCEP_OBS
     if (o != nullptr) {
       o->tracer.begin(sim.now().value(), node_cat_s, group_name_s[i],
                       node_id_s, static_cast<double>(i));
     }
-#endif
   }
 
   void group_power_off(std::size_t i, Watts dyn) {
-#if HCEP_OBS
     if (o != nullptr) {
       o->tracer.end(sim.now().value(), node_cat_s, group_name_s[i]);
     }
-#endif
     adjust(-dyn);
   }
 
@@ -161,12 +149,10 @@ struct SimCtx {
     server_busy = true;
     const Seconds arrival = queue.front();
     queue.pop_front();
-#if HCEP_OBS
     if (o != nullptr) {
       o->tracer.begin(sim.now().value(), cat_s, job_s, wait_s,
                       (sim.now() - arrival).value());
     }
-#endif
 
     // Realized service time: model time x systematic factor x jitter.
     double jitter = 1.0;
@@ -205,13 +191,11 @@ struct SimCtx {
 
   void complete(Seconds arrival, Seconds service, Seconds busy_from) {
     server_busy = false;
-#if HCEP_OBS
     if (o != nullptr) {
       o->tracer.end(sim.now().value(), cat_s, job_s);
       o->metrics.add(completion_ev_m);
       o->metrics.add(jobs_completed_m);
     }
-#endif
     ++out.jobs_completed;
     out.units_completed += m.workload().units_per_job;
     // Clip the busy interval to the observation window so the realized
@@ -245,14 +229,12 @@ struct SimCtx {
   }
 
   void on_arrival() {
-#if HCEP_OBS
     if (o != nullptr) {
       o->metrics.add(arrival_ev_m);
       o->metrics.add(jobs_arrived_m, options.batch_size);
       o->tracer.instant(sim.now().value(), cat_s, arrival_s, batch_s,
                         static_cast<double>(options.batch_size));
     }
-#endif
     for (unsigned b = 0; b < options.batch_size; ++b) {
       ++out.jobs_arrived;
       queue.push_back(sim.now());
@@ -291,14 +273,12 @@ SimResult simulate(const model::TimeEnergyModel& m, const SimOptions& options) {
   // Run: process all events (in-flight jobs past the window drain too).
   ctx.sim.run();
 
-#if HCEP_OBS
   if (ctx.o != nullptr) {
     // Ring drops are silent data loss: surface the tally as a live gauge
     // so metric snapshots expose it without decoding the trace.
     ctx.o->metrics.set(ctx.o->metrics.gauge("obs.trace_dropped"),
                        static_cast<double>(ctx.o->tracer.dropped()));
   }
-#endif
 
   SimResult out = std::move(ctx.out);
   out.window = ctx.window;
@@ -322,11 +302,7 @@ JobMeasurement measure_batch(const model::TimeEnergyModel& m,
   require(jobs > 0, "measure_batch: need at least one job");
   const RunPlan plan = make_plan(m, use_testbed_overheads);
   Rng rng(seed);
-#if HCEP_OBS
   obs::PowerProbe probe(obs::current(), "batch_W");
-#else
-  obs::PowerProbe probe(nullptr, "batch_W");
-#endif
 
   Seconds now{0.0};
   probe.step(now, plan.idle_power);

@@ -34,7 +34,6 @@ EvaluationSet evaluate_space(const ConfigSpace& space,
   const std::uint64_t n_cfg = space.size();
   const std::uint64_t n_chunks = (n_cfg + kChunk - 1) / kChunk;
 
-#if HCEP_OBS
   // Chunks execute on pool workers, so the caller's observer is captured
   // here rather than re-resolved per chunk (workers only see the global
   // fallback). The metrics fast path is per-thread sharded, so concurrent
@@ -47,14 +46,11 @@ EvaluationSet evaluate_space(const ConfigSpace& space,
     chunk_us_m = o->metrics.histogram(
         "sweep.chunk_us", {10, 50, 100, 500, 1000, 5000, 10000, 50000});
   }
-#endif
 
   auto sweep_chunk = [&](std::size_t c) {
-#if HCEP_OBS
     const auto chunk_start = o != nullptr
                                  ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
-#endif
     const std::uint64_t begin = c * kChunk;
     const std::uint64_t end = std::min(n_cfg, begin + kChunk);
 
@@ -100,7 +96,6 @@ EvaluationSet evaluate_space(const ConfigSpace& space,
         break;
       }
     }
-#if HCEP_OBS
     if (o != nullptr) {
       const auto elapsed =
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -109,7 +104,6 @@ EvaluationSet evaluate_space(const ConfigSpace& space,
       o->metrics.add(chunks_m);
       o->metrics.observe(chunk_us_m, static_cast<double>(elapsed.count()));
     }
-#endif
   };
 
   ThreadPool& p = pool ? *pool : ThreadPool::global();

@@ -16,8 +16,7 @@ struct ReportOptions {
   bool cross_check_des = false;
   /// Append an observability section: trace one EP cluster run, push it
   /// through obs::make_run_report and render the profile, queue
-  /// decomposition and energy-attribution rollup. Degrades to a note
-  /// when the instrumentation is compiled out (HCEP_OBS=0).
+  /// decomposition and energy-attribution rollup.
   bool include_observability = false;
   /// Append a traffic section: drive the A9+K10 cluster with a mixed
   /// Poisson request stream through admission control and render the

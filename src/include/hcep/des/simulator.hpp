@@ -49,7 +49,6 @@ class BasicSimulator {
   /// every executed event feeds the `des.events` counter plus queue-depth
   /// and event-time histograms of the active observer.
   BasicSimulator() {
-#if HCEP_OBS
     obs_ = obs::current();
     if (obs_ != nullptr) {
       events_metric_ = obs_->metrics.counter("des.events");
@@ -58,7 +57,6 @@ class BasicSimulator {
       time_metric_ = obs_->metrics.histogram(
           "des.event_time_s", {1e-3, 1e-2, 1e-1, 1, 10, 100, 1e3, 1e4});
     }
-#endif
   }
   BasicSimulator(const BasicSimulator&) = delete;
   BasicSimulator& operator=(const BasicSimulator&) = delete;
@@ -127,14 +125,12 @@ class BasicSimulator {
     Event ev = queue_.pop();
     now_ = ev.time;
     ++processed_;
-#if HCEP_OBS
     if (obs_ != nullptr) {
       obs_->metrics.add(events_metric_);
       obs_->metrics.observe(depth_metric_,
                             static_cast<double>(queue_.size()));
       obs_->metrics.observe(time_metric_, now_.value());
     }
-#endif
     ev.callback();
     return true;
   }
@@ -176,12 +172,10 @@ class BasicSimulator {
   Seconds now_{0.0};
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-#if HCEP_OBS
   obs::Observer* obs_ = nullptr;
   obs::MetricId events_metric_ = 0;
   obs::MetricId depth_metric_ = 0;
   obs::MetricId time_metric_ = 0;
-#endif
 };
 
 /// The production kernel.

@@ -10,14 +10,10 @@
 // run a scope unobserved; set_global() installs a process-wide fallback
 // that pool workers and sweep chunks report to.
 //
-// Compile-time kill switch: building with -DHCEP_OBS=0 (CMake option
-// `HCEP_OBS`) compiles every instrumentation site out entirely; the obs
-// library itself still builds so its direct API and tests remain usable.
+// The null sink is the only off switch: every instrumentation site is
+// compiled into every build and guarded by that pointer check alone, and
+// nothing it records feeds back into a result.
 #pragma once
-
-#ifndef HCEP_OBS
-#define HCEP_OBS 1
-#endif
 
 #include <atomic>
 #include <cstddef>
@@ -63,17 +59,3 @@ class ScopedObserver {
 };
 
 }  // namespace hcep::obs
-
-// Statement wrapper for one-line instrumentation sites; expands to
-// nothing when observability is compiled out. Multi-statement sites use
-// `#if HCEP_OBS` blocks directly.
-#if HCEP_OBS
-#define HCEP_OBS_ONLY(...) \
-  do {                     \
-    __VA_ARGS__;           \
-  } while (0)
-#else
-#define HCEP_OBS_ONLY(...) \
-  do {                     \
-  } while (0)
-#endif

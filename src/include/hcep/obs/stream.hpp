@@ -28,9 +28,9 @@
 // Determinism contract: timelines and ledgers are byte-identical across
 // same-seed runs and across serial vs parallel shard execution for a
 // fixed (seed, shards) pair — no wall clock, no unordered containers,
-// shard merge in shard order. Everything here works with -DHCEP_OBS=OFF:
-// streaming is an opt-in result artifact (traffic::TrafficOptions), not
-// ambient instrumentation, so the kill switch does not apply to it.
+// shard merge in shard order. Streaming is an opt-in result artifact
+// (traffic::TrafficOptions), not ambient instrumentation: it runs whether
+// or not an obs::Observer is installed.
 #pragma once
 
 #include <cstdint>

@@ -36,7 +36,6 @@ void ThreadPool::worker_loop() {
   t_worker_pool = this;
   for (;;) {
     std::function<void()> task;
-#if HCEP_OBS
     // Workers have no thread-local observer; obs::current() resolves to
     // the process-wide sink when one is installed. Re-queried per task so
     // an observer installed mid-run is picked up.
@@ -44,7 +43,6 @@ void ThreadPool::worker_loop() {
     const auto idle_from = o != nullptr
                                ? std::chrono::steady_clock::now()
                                : std::chrono::steady_clock::time_point{};
-#endif
     {
       std::unique_lock lock(mutex_);
       cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
@@ -52,7 +50,6 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-#if HCEP_OBS
     if (o != nullptr) {
       const auto waited = std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - idle_from);
@@ -60,7 +57,6 @@ void ThreadPool::worker_loop() {
                      static_cast<std::uint64_t>(waited.count()));
       o->metrics.add(o->metrics.counter("pool.tasks"));
     }
-#endif
     task();
   }
 }

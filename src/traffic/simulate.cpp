@@ -367,7 +367,6 @@ class Engine final : public control::Actuator {
           std::max(1.0, options.admission.bucket_burst / split));
     }
     if (options.record_requests) records_.reserve(request_budget);
-#if HCEP_OBS
     o_ = obs::current();
     if (o_ != nullptr) {
       offered_m_ = o_->metrics.counter("traffic.offered");
@@ -387,7 +386,6 @@ class Engine final : public control::Actuator {
       bucket_s_ = o_->tracer.intern("bucket");
       queue_s_ = o_->tracer.intern("queue_depth");
     }
-#endif
     if (options_.control.enabled()) {
       copts_ = &options_.control;
       // Each shard's controller clone governs its node slice against a
@@ -397,7 +395,6 @@ class Engine final : public control::Actuator {
       controller_ = copts_->controller->clone();
       window_shed_.assign(classes.size(), 0);
       window_sojourns_.resize(classes.size());
-#if HCEP_OBS
       if (o_ != nullptr) {
         ctrl_ticks_m_ = o_->metrics.counter("control.ticks");
         ctrl_sleeps_m_ = o_->metrics.counter("control.sleeps");
@@ -410,7 +407,6 @@ class Engine final : public control::Actuator {
         active_track_s_ = o_->tracer.intern("control_active_nodes");
         power_track_s_ = o_->tracer.intern("control_rack_power_w");
       }
-#endif
     }
     // Streaming telemetry: a per-shard Collector fed by the event hooks
     // below. Purely observational (no RNG draws, no DES events), so the
@@ -594,21 +590,17 @@ class Engine final : public control::Actuator {
     req.first_arrival = sim_.now();
     ++per_class_[cls].offered;
     ++inflight_;
-#if HCEP_OBS
     if (o_ != nullptr) o_->metrics.add(offered_m_);
-#endif
     if (stream_ != nullptr) stream_->on_arrival(sim_.now());
     note_inflight();
     attempt(req);
   }
 
   void note_inflight() {
-#if HCEP_OBS
     if (o_ != nullptr && tracing_) {
       o_->tracer.counter(sim_.now().value(), cat_s_, inflight_s_,
                          static_cast<double>(inflight_));
     }
-#endif
   }
 
   // --------------------------------------------------------------- control
@@ -727,14 +719,11 @@ class Engine final : public control::Actuator {
     const std::uint64_t wakes0 = csum_.wakes;
     const std::uint64_t points0 = csum_.point_changes;
 
-#if HCEP_OBS
     if (o_ != nullptr) {
       o_->metrics.add(ctrl_ticks_m_);
       if (tracing_) o_->tracer.begin(now.value(), ctrl_cat_s_, tick_s_);
     }
-#endif
     controller_->tick(ctx, *this);
-#if HCEP_OBS
     if (o_ != nullptr) {
       o_->metrics.set(ctrl_active_g_, static_cast<double>(dispatchable_));
       o_->metrics.set(ctrl_power_g_, worst.value());
@@ -746,7 +735,6 @@ class Engine final : public control::Actuator {
         o_->tracer.end(now.value(), ctrl_cat_s_, tick_s_);
       }
     }
-#endif
     if (frec_ != nullptr) {
       obs::stream::DecisionRecord rec;
       rec.tick = csum_.ticks;
@@ -838,9 +826,7 @@ class Engine final : public control::Actuator {
     const Seconds now = sim_.now();
     --dispatchable_;
     ++csum_.sleeps;
-#if HCEP_OBS
     if (o_ != nullptr) o_->metrics.add(ctrl_sleeps_m_);
-#endif
     if (n.queued == 0 && n.free_at <= now) {
       n.pstate = control::PowerState::kSleeping;
       n.sleep_since = now;
@@ -870,9 +856,7 @@ class Engine final : public control::Actuator {
       note_power(now, idle(n) - copts_->sleep_power);
       csum_.wake_energy += copts_->wake_energy;
       ++csum_.wakes;
-#if HCEP_OBS
       if (o_ != nullptr) o_->metrics.add(ctrl_wakes_m_);
-#endif
       if (stream_ != nullptr) {
         stream_->on_floor_delta(n.type, now, idle(n) - copts_->sleep_power);
         stream_->on_wake_energy(n.type, now, copts_->wake_energy);
@@ -900,9 +884,7 @@ class Engine final : public control::Actuator {
     n.service = t.service_row(p);
     n.dynamic = t.dynamic_row(p);
     ++csum_.point_changes;
-#if HCEP_OBS
     if (o_ != nullptr) o_->metrics.add(ctrl_points_m_);
-#endif
     return true;
   }
 
@@ -944,13 +926,11 @@ class Engine final : public control::Actuator {
       ++shed_bucket;
       ++per_class_[req.cls].shed;
       if (copts_ != nullptr) ++window_shed_[req.cls];
-#if HCEP_OBS
       if (o_ != nullptr) {
         o_->metrics.add(shed_m_);
         if (tracing_)
           o_->tracer.instant(now.value(), shed_cat_s_, bucket_s_);
       }
-#endif
       if (stream_ != nullptr) stream_->on_shed(now);
       reject(req);
       return;
@@ -965,13 +945,11 @@ class Engine final : public control::Actuator {
         ++window_shed_[req.cls];
         request_event_tick();  // queue shed = congestion signal
       }
-#if HCEP_OBS
       if (o_ != nullptr) {
         o_->metrics.add(shed_m_);
         if (tracing_)
           o_->tracer.instant(now.value(), shed_cat_s_, queue_s_);
       }
-#endif
       if (stream_ != nullptr) stream_->on_shed(now);
       reject(req);
       return;
@@ -992,14 +970,12 @@ class Engine final : public control::Actuator {
     }
     if (stream_ != nullptr)
       stream_->on_dispatch(n.type, now, start, done, n.dynamic[req.cls]);
-#if HCEP_OBS
     if (o_ != nullptr) {
       o_->metrics.add(admitted_m_);
       if (tracing_)
         o_->tracer.begin(start.value(), cat_s_, request_s_, wait_key_s_,
                          wait.value());
     }
-#endif
     // The kernel hot path: {Engine*, node, point, Request, Seconds} is
     // exactly des::Callback's 48-byte inline budget — no allocation per
     // event. The point fixes the request's terms at dispatch.
@@ -1012,9 +988,7 @@ class Engine final : public control::Actuator {
   void reject(Request req) {
     if (req.attempt < options_.retry.max_attempts) {
       ++per_class_[req.cls].retries;
-#if HCEP_OBS
       if (o_ != nullptr) o_->metrics.add(retries_m_);
-#endif
       const Seconds delay = options_.retry.backoff_after(req.attempt);
       ++req.attempt;
       auto cb = [this, req]() { attempt(req); };
@@ -1027,9 +1001,7 @@ class Engine final : public control::Actuator {
       if (options_.record_requests)
         record(RequestRecord{req.index, req.cls, 1,
                              sim_.now() - req.first_arrival});
-#if HCEP_OBS
       if (o_ != nullptr) o_->metrics.add(failed_m_);
-#endif
       note_inflight();
     }
   }
@@ -1088,13 +1060,11 @@ class Engine final : public control::Actuator {
         }
       }
     }
-#if HCEP_OBS
     if (o_ != nullptr) {
       if (tracing_) o_->tracer.end(sim_.now().value(), cat_s_, request_s_);
       o_->metrics.add(completed_m_);
       o_->metrics.observe(sojourn_m_, sojourn.value());
     }
-#endif
     note_inflight();
   }
 
@@ -1148,7 +1118,6 @@ class Engine final : public control::Actuator {
   std::vector<obs::stream::DecisionRecord::Transition> tick_transitions_;
   std::uint32_t shard_index_ = 0;
   std::uint32_t shard_count_ = 1;
-#if HCEP_OBS
   obs::Observer* o_ = nullptr;
   obs::MetricId offered_m_ = 0, admitted_m_ = 0, shed_m_ = 0, retries_m_ = 0,
                 completed_m_ = 0, failed_m_ = 0, sojourn_m_ = 0;
@@ -1158,7 +1127,6 @@ class Engine final : public control::Actuator {
                 ctrl_points_m_ = 0, ctrl_active_g_ = 0, ctrl_power_g_ = 0;
   obs::StringId ctrl_cat_s_ = 0, tick_s_ = 0, active_track_s_ = 0,
                 power_track_s_ = 0;
-#endif
 };
 
 }  // namespace

@@ -1,22 +1,34 @@
 // Observability subsystem: metrics registry (concurrent counters,
 // histogram bucketing), event tracer (ring overflow, exporters),
-// observer sinks, power probe fidelity and deterministic replay of the
-// cluster simulator's exported traces.
+// observer sinks, power probe fidelity, deterministic replay of the
+// cluster simulator's exported traces, and the inertness of the
+// instrumentation: installing an observer changes no result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "hcep/cluster/simulator.hpp"
+#include "hcep/config/pareto.hpp"
+#include "hcep/config/space.hpp"
+#include "hcep/control/controllers.hpp"
 #include "hcep/model/time_energy.hpp"
 #include "hcep/obs/metrics.hpp"
 #include "hcep/obs/obs.hpp"
 #include "hcep/obs/power_probe.hpp"
 #include "hcep/obs/trace.hpp"
+#include "hcep/traffic/arrivals.hpp"
+#include "hcep/traffic/simulate.hpp"
 #include "hcep/util/error.hpp"
+#include "hcep/workload/catalog.hpp"
 
 namespace {
 
@@ -354,9 +366,6 @@ TEST(PowerProbe, MeasuredSeriesIntegratesToMeasuredEnergy) {
 // ------------------------------------------------- deterministic replay
 
 TEST(Replay, SameSeedClusterRunsExportByteIdenticalTraces) {
-#if !HCEP_OBS
-  GTEST_SKIP() << "simulator instrumentation compiled out (HCEP_OBS=OFF)";
-#endif
   workload::Workload w;
   w.name = "replay";
   w.units_per_job = 5e5;
@@ -384,6 +393,173 @@ TEST(Replay, SameSeedClusterRunsExportByteIdenticalTraces) {
   EXPECT_EQ(a.tracer.jsonl(), b.tracer.jsonl());
   EXPECT_EQ(a.tracer.csv(), b.tracer.csv());
   EXPECT_EQ(a.tracer.chrome_trace_json(), b.tracer.chrome_trace_json());
+}
+
+// ------------------------------------------------ instrumentation inertness
+
+/// Runs `run` under the null sink, then under a fresh observer; returns
+/// both results and the observer (still holding what it recorded).
+template <typename Run>
+auto run_unobserved_then_observed(const Run& run) {
+  auto plain = [&] {
+    obs::ScopedObserver none(nullptr);
+    return run();
+  }();
+  auto observer = std::make_unique<obs::Observer>();
+  obs::ScopedObserver scope(*observer);
+  auto observed = run();
+  return std::tuple{std::move(plain), std::move(observed), std::move(observer)};
+}
+
+void expect_same_traffic(const traffic::TrafficResult& a,
+                         const traffic::TrafficResult& b) {
+  EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+  EXPECT_EQ(a.control.to_json().dump(), b.control.to_json().dump());
+  EXPECT_EQ(a.timeline.to_json().dump(), b.timeline.to_json().dump());
+  EXPECT_TRUE(std::equal(
+      a.requests.begin(), a.requests.end(), b.requests.begin(),
+      b.requests.end(), [](const auto& x, const auto& y) {
+        return x.index == y.index && x.cls == y.cls && x.failed == y.failed &&
+               x.sojourn.value() == y.sojourn.value();
+      }));
+  const auto& sa = a.control.trace.steps();
+  const auto& sb = b.control.trace.steps();
+  EXPECT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin(), sb.end(),
+                         [](const auto& x, const auto& y) {
+                           return x.start.value() == y.start.value() &&
+                                  x.level.value() == y.level.value();
+                         }));
+}
+
+TEST(Observer, InstrumentationLeavesResultsUnchanged) {
+  // The null sink is the only way to switch observability off, so an
+  // installed observer must be purely a reader: every result below is
+  // compared byte for byte with and without one.
+  const auto catalog = workload::paper_workloads();
+  const auto find = [&](const std::string& name) -> const workload::Workload& {
+    for (const auto& w : catalog)
+      if (w.name == name) return w;
+    throw std::runtime_error("missing workload " + name);
+  };
+  const auto spec = model::make_a9_k10_cluster(4, 2);
+  const std::vector<traffic::TrafficClass> classes{
+      {find("EP"), 2.0, traffic::SloTarget{}},
+      {find("memcached"), 1.0, traffic::SloTarget{}}};
+  const double capacity = traffic::cluster_capacity_per_s(spec, classes);
+
+  struct Case {
+    const char* label;
+    traffic::TrafficOptions options;
+    std::unique_ptr<traffic::ArrivalProcess> arrivals;
+  };
+  std::vector<Case> cases;
+  {
+    // One shard: token bucket, queue shedding, retries, request records.
+    traffic::TrafficOptions o;
+    o.requests = 3000;
+    o.seed = 11;
+    o.admission.bucket_rate_per_s = 0.8 * capacity;
+    o.admission.bucket_burst = 20.0;
+    o.admission.max_queue_depth = 6;
+    o.retry.max_attempts = 3;
+    o.retry.base_backoff = Seconds{0.05};
+    o.record_requests = true;
+    cases.push_back({"admission", std::move(o),
+                     traffic::make_poisson(1.1 * capacity)});
+  }
+  {
+    // Three shards on the pool.
+    traffic::TrafficOptions o;
+    o.requests = 3000;
+    o.seed = 12;
+    o.shards = 3;
+    cases.push_back({"sharded", std::move(o),
+                     traffic::make_poisson(0.7 * capacity)});
+  }
+  {
+    // Power gating on two shards, streamed, with the exact power trace.
+    const double rate = 0.4 * capacity;
+    traffic::TrafficOptions o;
+    o.requests = 4000;
+    o.seed = 13;
+    o.shards = 2;
+    o.control.controller = control::make_power_gate({});
+    o.control.period = Seconds{50.0 / rate};
+    o.control.wake_delay = Seconds{20.0 / rate};
+    o.control.record_power_trace = true;
+    o.stream.window = Seconds{100.0 / rate};
+    cases.push_back({"power_gate", std::move(o),
+                     traffic::make_diurnal(rate, 0.6,
+                                           Seconds{1000.0 / rate})});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    const auto [plain, observed, observer] = run_unobserved_then_observed(
+        [&] {
+          return traffic::simulate_traffic(spec, classes, *c.arrivals,
+                                           c.options);
+        });
+    expect_same_traffic(plain, observed);
+    // The observed run did report: the instrumentation ran.
+    EXPECT_EQ(observer->metrics.snapshot().counter("traffic.offered"),
+              observed.offered);
+  }
+
+  {
+    SCOPED_TRACE("cluster::simulate");
+    const model::TimeEnergyModel m(spec, find("EP"));
+    cluster::SimOptions opts;
+    opts.utilization = 0.6;
+    opts.min_jobs = 200;
+    opts.seed = 4243;
+    const auto [a, b, observer] = run_unobserved_then_observed(
+        [&] { return cluster::simulate(m, opts); });
+    EXPECT_GT(observer->tracer.recorded(), 0u);
+    EXPECT_EQ(a.jobs_arrived, b.jobs_arrived);
+    EXPECT_EQ(a.jobs_completed, b.jobs_completed);
+    EXPECT_EQ(a.units_completed, b.units_completed);
+    EXPECT_EQ(a.window.value(), b.window.value());
+    EXPECT_EQ(a.energy_exact.value(), b.energy_exact.value());
+    EXPECT_EQ(a.energy_measured.value(), b.energy_measured.value());
+    EXPECT_EQ(a.average_power.value(), b.average_power.value());
+    EXPECT_EQ(a.mean_service.value(), b.mean_service.value());
+    EXPECT_EQ(a.mean_response.value(), b.mean_response.value());
+    EXPECT_EQ(a.p95_response.value(), b.p95_response.value());
+    EXPECT_EQ(a.measured_utilization, b.measured_utilization);
+    ASSERT_EQ(a.counters.size(), b.counters.size());
+    for (std::size_t i = 0; i < a.counters.size(); ++i) {
+      EXPECT_EQ(a.counters[i].node_name, b.counters[i].node_name);
+      EXPECT_EQ(a.counters[i].work_cycles, b.counters[i].work_cycles);
+      EXPECT_EQ(a.counters[i].stall_cycles, b.counters[i].stall_cycles);
+      EXPECT_EQ(a.counters[i].io_bytes, b.counters[i].io_bytes);
+      EXPECT_EQ(a.counters[i].jobs_served, b.counters[i].jobs_served);
+    }
+  }
+
+  {
+    SCOPED_TRACE("config sweep");
+    const config::ConfigSpace space = config::make_a9_k10_space(6, 3);
+    const auto [a, b, observer] = run_unobserved_then_observed([&] {
+      const config::EvaluationSet evals =
+          config::evaluate_space(space, find("EP"));
+      return std::pair{evals, config::pareto_front(evals)};
+    });
+    EXPECT_EQ(observer->metrics.snapshot().counter("sweep.configs"),
+              space.size());
+    EXPECT_EQ(a.first.times(), b.first.times());
+    EXPECT_EQ(a.first.energies(), b.first.energies());
+    EXPECT_EQ(a.first.idle_powers(), b.first.idle_powers());
+    EXPECT_EQ(a.first.busy_powers(), b.first.busy_powers());
+    EXPECT_TRUE(std::equal(
+        a.second.begin(), a.second.end(), b.second.begin(), b.second.end(),
+        [](const config::Evaluation& x, const config::Evaluation& y) {
+          return x.index == y.index && x.config.label() == y.config.label() &&
+                 x.time.value() == y.time.value() &&
+                 x.energy.value() == y.energy.value() &&
+                 x.idle_power.value() == y.idle_power.value() &&
+                 x.busy_power.value() == y.busy_power.value();
+        }));
+  }
 }
 
 }  // namespace

@@ -242,8 +242,6 @@ TEST(Rollup, ChannelsAreDiscoveredAndSorted) {
 
 // ------------------------------------------- simulator round trip + report
 
-#if HCEP_OBS
-
 workload::Workload synthetic_workload() {
   workload::Workload w;
   w.name = "synthetic";
@@ -343,8 +341,6 @@ TEST(RunReport, SameSeedRunsProduceByteIdenticalJson) {
   // And the bytes are valid JSON that round-trips through the parser.
   EXPECT_EQ(JsonValue::parse(first).dump(), first);
 }
-
-#endif  // HCEP_OBS
 
 TEST(RunReport, SynthesizesCensusCountersWithoutLiveMetrics) {
   const obs::RunReport report =

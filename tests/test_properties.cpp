@@ -595,9 +595,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ControlledTraffic,
 // -------------------------------------------------------- observability
 
 TEST(ObsInvariants, RandomizedClusterRunsSatisfyAccountingInvariants) {
-#if !HCEP_OBS
-  GTEST_SKIP() << "simulator instrumentation compiled out (HCEP_OBS=OFF)";
-#endif
   // 1000 randomized (cluster, workload, load) configurations; for each:
   //  - every DES event the kernel counted belongs to exactly one of the
   //    simulator's categories (arrival, completion, power step),

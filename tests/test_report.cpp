@@ -62,13 +62,11 @@ TEST(Report, ObservabilityOptionAppendsTracedRunSection) {
   opts.include_observability = true;
   const std::string with = render_report(study, opts);
   EXPECT_NE(with.find("## Observability"), std::string::npos);
-#if HCEP_OBS
   // The traced-run profile and the energy-attribution cross-check
   // render when the instrumentation is compiled in.
   EXPECT_NE(with.find("cluster:job"), std::string::npos);
   EXPECT_NE(with.find("Queue decomposition"), std::string::npos);
   EXPECT_NE(with.find("Windowed energy attribution"), std::string::npos);
-#endif
 }
 
 TEST(Report, TrafficOptionAppendsRequestLevelSection) {

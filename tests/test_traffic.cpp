@@ -131,7 +131,6 @@ TEST(Traffic, SameSeedRunReportsAreByteIdentical) {
   EXPECT_EQ(report(), report());
 }
 
-#if HCEP_OBS
 TEST(Traffic, ObsCountersLedgerTheRun) {
   const auto cluster = model::make_a9_k10_cluster(1, 0);
   obs::Observer observer;
@@ -155,7 +154,6 @@ TEST(Traffic, ObsCountersLedgerTheRun) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, r.completed);
 }
-#endif
 
 // ------------------------------------------------------ admission control
 
@@ -548,7 +546,7 @@ TEST(Traffic, CapacityFollowsClusterSize) {
 TEST(TrafficSharded, RepeatedRunsAreByteIdentical) {
   // Fixed (seed, shards): the serialized result must be byte-identical
   // across repeated runs AND across serial/parallel shard execution —
-  // the determinism contract of des::ShardedSimulator's window barrier.
+  // the determinism contract of the per-shard event loops.
   const auto cluster = model::make_a9_k10_cluster(4, 2);
   TrafficOptions options;
   options.requests = 20000;

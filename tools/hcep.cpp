@@ -29,13 +29,18 @@
 // Exit code 0 on success, 1 on usage errors, 2 on runtime failures
 // (`hcep diff` returns 0 when identical within tolerance, 1 otherwise).
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "hcep/hcep.hpp"
@@ -92,6 +97,28 @@ int usage() {
          "  selftest <profile|diff|fed>     pipeline self-checks\n"
          "programs: EP memcached x264 blackscholes Julius RSA-2048\n";
   return 1;
+}
+
+/// Parses one numeric argument. The whole text must be a T: no sign on
+/// an unsigned type, at most `max` for an integer, finite for a double.
+/// Anything else throws a PreconditionError naming the argument and its
+/// text, which main prints before exiting 2.
+template <typename T>
+T parse_number(std::string_view name, const std::string& text,
+               T max = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc{} && ptr == end && value <= max;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (ok) return value;
+  std::string expected = "a finite number";
+  if constexpr (std::is_integral_v<T>)
+    expected = "an integer in [" +
+               std::to_string(std::numeric_limits<T>::min()) + ", " +
+               std::to_string(max) + "]";
+  throw PreconditionError(std::string(name) + ": '" + text + "' is not " +
+                          expected);
 }
 
 const core::PaperStudy& study() {
@@ -152,8 +179,8 @@ int cmd_table(const std::vector<std::string>& args) {
 int cmd_metrics(const std::vector<std::string>& args) {
   if (args.size() < 3) return usage();
   const auto& w = study().workload(args[0]);
-  const auto n_a9 = static_cast<unsigned>(std::stoul(args[1]));
-  const auto n_k10 = static_cast<unsigned>(std::stoul(args[2]));
+  const auto n_a9 = parse_number<unsigned>("nA9", args[1]);
+  const auto n_k10 = parse_number<unsigned>("nK10", args[2]);
   model::TimeEnergyModel m(model::make_a9_k10_cluster(n_a9, n_k10), w);
   const auto r = metrics::analyze(m.power_curve());
   std::cout << "mix " << m.cluster().label() << " running " << w.name
@@ -172,9 +199,9 @@ int cmd_sweep(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
   const auto& w = study().workload(args[0]);
   const unsigned max_a9 =
-      args.size() > 1 ? static_cast<unsigned>(std::stoul(args[1])) : 10;
+      args.size() > 1 ? parse_number<unsigned>("maxA9", args[1]) : 10;
   const unsigned max_k10 =
-      args.size() > 2 ? static_cast<unsigned>(std::stoul(args[2])) : 5;
+      args.size() > 2 ? parse_number<unsigned>("maxK10", args[2]) : 5;
   const auto space = config::make_a9_k10_space(max_a9, max_k10);
   std::cout << "evaluating " << space.size() << " configurations...\n";
   const auto evals = config::evaluate_space(space, w);
@@ -300,10 +327,6 @@ int cmd_trace(const std::vector<std::string>& args) {
   std::cout << "wrote " << observer.tracer.size() << " events ("
             << observer.tracer.dropped() << " dropped, "
             << r.jobs_completed << " jobs) to " << path << "\n";
-#if !HCEP_OBS
-  std::cout << "note: observability instrumentation is compiled out "
-               "(HCEP_OBS=OFF); the trace is empty\n";
-#endif
   return 0;
 }
 
@@ -315,7 +338,7 @@ int cmd_profile(const std::vector<std::string>& args) {
   for (std::size_t i = 1; i < args.size(); i += 2) {
     if (i + 1 >= args.size()) return usage();
     if (args[i] == "--interval")
-      interval = std::stod(args[i + 1]);
+      interval = parse_number<double>(args[i], args[i + 1]);
     else if (args[i] == "--json")
       json_path = args[i + 1];
     else if (args[i] == "--folded")
@@ -438,7 +461,6 @@ int cmd_selftest_profile() {
     return 2;
   }
 
-#if HCEP_OBS
   // Live-instrumentation cross-checks: windowed energy attribution must
   // re-integrate to the simulator's exact energy, and a same-seed rerun
   // must reproduce the trace bytes.
@@ -459,9 +481,6 @@ int cmd_selftest_profile() {
                  "bytes\n";
     return 2;
   }
-#else
-  std::cout << "selftest: structural checks only (HCEP_OBS=OFF)\n";
-#endif
   std::cout << "selftest profile: ok\n";
   return 0;
 }
@@ -622,13 +641,13 @@ int cmd_fed(const std::vector<std::string>& args) {
     if (key == "--policy")
       policy_name = value;
     else if (key == "--requests")
-      requests = std::stoull(value);
+      requests = parse_number<std::uint64_t>(key, value);
     else if (key == "--seed")
-      seed = std::stoull(value);
+      seed = parse_number<std::uint64_t>(key, value);
     else if (key == "--shards")
-      shards = std::stoul(value);
+      shards = parse_number<std::size_t>(key, value);
     else if (key == "--pinned")
-      pinned = std::stoul(value);
+      pinned = parse_number<std::size_t>(key, value);
     else if (key == "--json")
       json_path = value;
     else
@@ -743,22 +762,24 @@ int cmd_traffic(const std::vector<std::string>& args) {
     else if (key == "--policy")
       policy_name = value;
     else if (key == "--util")
-      util = std::stod(value);
+      util = parse_number<double>(key, value);
     else if (key == "--requests")
-      options.requests = std::stoull(value);
+      options.requests = parse_number<std::uint64_t>(key, value);
     else if (key == "--seed")
-      options.seed = std::stoull(value);
+      options.seed = parse_number<std::uint64_t>(key, value);
     else if (key == "--bucket-rate")
-      options.admission.bucket_rate_per_s = std::stod(value);
+      options.admission.bucket_rate_per_s = parse_number<double>(key, value);
     else if (key == "--bucket-burst")
-      options.admission.bucket_burst = std::stod(value);
+      options.admission.bucket_burst = parse_number<double>(key, value);
     else if (key == "--max-queue")
-      options.admission.max_queue_depth = std::stoull(value);
+      options.admission.max_queue_depth =
+          parse_number<std::uint64_t>(key, value);
     else if (key == "--retries")
       options.retry.max_attempts =
-          1 + static_cast<std::uint32_t>(std::stoul(value));
+          1 + parse_number<std::uint32_t>(
+                  key, value, std::numeric_limits<std::uint32_t>::max() - 1);
     else if (key == "--slo-ms")
-      slo_ms = std::stod(value);
+      slo_ms = parse_number<double>(key, value);
     else if (key == "--json")
       json_path = value;
     else
@@ -875,17 +896,17 @@ int cmd_timeline(const std::vector<std::string>& args) {
     else if (key == "--policy")
       policy_name = value;
     else if (key == "--util")
-      util = std::stod(value);
+      util = parse_number<double>(key, value);
     else if (key == "--requests")
-      options.requests = std::stoull(value);
+      options.requests = parse_number<std::uint64_t>(key, value);
     else if (key == "--seed")
-      options.seed = std::stoull(value);
+      options.seed = parse_number<std::uint64_t>(key, value);
     else if (key == "--shards")
-      options.shards = std::stoull(value);
+      options.shards = parse_number<std::size_t>(key, value);
     else if (key == "--window")
-      window_s = std::stod(value);
+      window_s = parse_number<double>(key, value);
     else if (key == "--epsilon")
-      options.stream.sketch_epsilon = std::stod(value);
+      options.stream.sketch_epsilon = parse_number<double>(key, value);
     else if (key == "--json")
       json_path = value;
     else if (key == "--csv")
@@ -1008,9 +1029,9 @@ int cmd_diff(const std::vector<std::string>& args) {
   for (std::size_t i = 2; i < args.size(); i += 2) {
     if (i + 1 >= args.size()) return usage();
     if (args[i] == "--rel")
-      tol.rel = std::stod(args[i + 1]);
+      tol.rel = parse_number<double>(args[i], args[i + 1]);
     else if (args[i] == "--abs")
-      tol.abs = std::stod(args[i + 1]);
+      tol.abs = parse_number<double>(args[i], args[i + 1]);
     else if (args[i] == "--json")
       json_path = args[i + 1];
     else
@@ -1084,19 +1105,19 @@ int cmd_control(const std::vector<std::string>& args) {
     else if (key == "--arrivals")
       arrivals_name = value;
     else if (key == "--util")
-      util = std::stod(value);
+      util = parse_number<double>(key, value);
     else if (key == "--requests")
-      options.requests = std::stoull(value);
+      options.requests = parse_number<std::uint64_t>(key, value);
     else if (key == "--seed")
-      options.seed = std::stoull(value);
+      options.seed = parse_number<std::uint64_t>(key, value);
     else if (key == "--shards")
-      options.shards = std::stoull(value);
+      options.shards = parse_number<std::size_t>(key, value);
     else if (key == "--period")
-      options.control.period = Seconds{std::stod(value)};
+      options.control.period = Seconds{parse_number<double>(key, value)};
     else if (key == "--cap")
-      cap_w = std::stod(value);
+      cap_w = parse_number<double>(key, value);
     else if (key == "--slo-ms")
-      slo_ms = std::stod(value);
+      slo_ms = parse_number<double>(key, value);
     else if (key == "--json")
       json_path = value;
     else
@@ -1200,8 +1221,8 @@ int cmd_governor(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
   analysis::GovernorStudyOptions opts;
   if (args.size() > 2) {
-    opts.mix = {static_cast<unsigned>(std::stoul(args[1])),
-                static_cast<unsigned>(std::stoul(args[2]))};
+    opts.mix = {parse_number<unsigned>("nA9", args[1]),
+                parse_number<unsigned>("nK10", args[2])};
   }
   const auto r =
       analysis::run_governor_study(study().workload(args[0]), opts);

@@ -188,7 +188,7 @@ class FileAnalyzer {
             facts_.includes.push_back(t.text.substr(q1 + 1, q2 - q1 - 1));
         }
       } else if (t.kind == TokenKind::kIdentifier &&
-                 (t.text == "ShardedSimulator" || t.text == "parallel_for")) {
+                 t.text == "parallel_for") {
         facts_.uses_shard_markers = true;
       }
     }
@@ -803,9 +803,9 @@ std::vector<Finding> project_findings(const std::vector<FileFacts>& files) {
       out.push_back(
           {f.path, ms.line, "shared-mutable-static",
            "mutable static `" + ms.name +
-               "` in a header reachable from ShardedSimulator/"
-               "parallel_for code; shards would race on it — use "
-               "std::atomic, thread_local, const, or per-shard state"});
+               "` in a header reachable from parallel_for code; shards "
+               "would race on it — use std::atomic, thread_local, const, "
+               "or per-shard state"});
   }
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     if (a.file != b.file) return a.file < b.file;

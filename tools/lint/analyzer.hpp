@@ -22,7 +22,7 @@ FileFacts analyze_source(const std::string& source, const std::string& relpath);
 
 /// Cross-file pass: builds the include graph over all analyzed files,
 /// marks everything transitively included by shard-marker TUs
-/// (ShardedSimulator / parallel_for users), and turns MutableStatic
+/// (parallel_for users), and turns MutableStatic
 /// facts in reachable headers into shared-mutable-static findings.
 std::vector<Finding> project_findings(const std::vector<FileFacts>& files);
 

@@ -7,7 +7,7 @@
 namespace hcep::lint {
 namespace {
 
-constexpr const char* kMagic = "hcep-lint-cache v2";
+constexpr const char* kMagic = "hcep-lint-cache v3";
 
 /// One-line escaping for free-text fields (messages may contain
 /// backticks, never newlines or tabs — but escape both anyway).

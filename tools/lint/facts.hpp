@@ -35,8 +35,8 @@ struct FileFacts {
   std::string path;  ///< repo-relative generic path ("src/...")
   /// Quoted #include paths as written (`hcep/des/simulator.hpp`).
   std::vector<std::string> includes;
-  /// TU mentions ShardedSimulator or parallel_for: its transitive
-  /// includes form the shard-reachable set.
+  /// TU mentions parallel_for: its transitive includes form the
+  /// shard-reachable set.
   bool uses_shard_markers = false;
   std::vector<MutableStatic> mutable_statics;
   /// Findings decidable from this file alone (all rules except

@@ -9,8 +9,8 @@
 
 namespace hcep::shared {
 
-// Mutable static, but unreachable from ShardedSimulator/parallel_for
-// code: silent by design.
+// Mutable static, but unreachable from parallel_for code: silent by
+// design.
 static std::uint64_t g_never_shared = 0;
 
 }  // namespace hcep::shared

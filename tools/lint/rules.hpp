@@ -73,10 +73,10 @@ inline const std::vector<RuleSpec>& rule_catalog() {
        "order. Reduce over a sorted or naturally ordered sequence."},
       {"shared-mutable-static",
        "mutable static state in a shard-reachable header",
-       "Headers transitively included by ShardedSimulator/parallel_for "
-       "code must not declare non-const, non-atomic statics: shards "
-       "would race on them and break serial/parallel byte-identity. Use "
-       "std::atomic, thread_local, const, or per-shard state."},
+       "Headers transitively included by parallel_for code must not "
+       "declare non-const, non-atomic statics: shards would race on them "
+       "and break serial/parallel byte-identity. Use std::atomic, "
+       "thread_local, const, or per-shard state."},
       {"site-id-determinism",
        "Site identified by pointer in a federation header",
        "Federation placement must be byte-reproducible: a `Site*` used "
