@@ -1,22 +1,25 @@
 // Library performance: discrete-event kernel throughput.
 //
-// The interesting numbers are the twins:
+// The interesting numbers are the twins; tools/bench_regress.py gates
+// the ratios marked (gated), each measured within one run:
 //
 //   BM_ChurnCalendar vs BM_ChurnLegacy    the full kernel rewrite vs a
 //                                         faithful replica of the seed
 //                                         kernel (std::priority_queue +
-//                                         std::function + top() copy) —
-//                                         the within-run ratio the
-//                                         BENCH_des.json gate enforces
+//                                         std::function + top() copy),
+//                                         at 64k and 1M pending (gated)
 //   BM_ChurnCalendar vs BM_ChurnHeap      calendar queue vs binary heap,
 //                                         both on des::Callback
 //   BM_ChurnBimodal{Calendar,Legacy}      the traffic simulator's delay
 //                                         mix (service completions +
 //                                         retry timers) — guards the
-//                                         cursor-bucket heap drain
+//                                         cursor-bucket heap drain (gated)
+//   BM_EventQueueChurn{,Legacy}/100000    the same pair at one pending
+//                                         event: fixed cost per event
+//                                         (gated)
 //   BM_CallbackInline vs BM_CallbackHeapSpill
 //                                         SBO hit vs heap spill on the
-//                                         callback type alone
+//                                         callback type alone (gated)
 //   BM_ShardedTraffic/1..8                end-to-end scaling of the
 //                                         sharded traffic simulator
 //
@@ -220,12 +223,15 @@ BENCHMARK(BM_ChurnBimodalLegacy)->Arg(65536);
 
 // ---------------------------------------------------------------------------
 // The seed kernel's churn shape, kept under its original name so numbers
-// stay comparable across releases (now runs on the calendar kernel).
-void BM_EventQueueChurn(benchmark::State& state) {
+// stay comparable across releases (now runs on the calendar kernel). One
+// event is pending at a time, so the scheduler's depth costs nothing and
+// the row measures the kernel's fixed cost per event.
+template <class Sim>
+void event_queue_churn(benchmark::State& state) {
   const auto events = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
-    des::Simulator sim;
-    ChurnState<des::Simulator, false> st;
+    Sim sim;
+    ChurnState<Sim, false> st;
     st.sim = &sim;
     st.budget = events;
     ++st.scheduled;
@@ -237,7 +243,15 @@ void BM_EventQueueChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(events));
 }
+
+void BM_EventQueueChurn(benchmark::State& state) {
+  event_queue_churn<des::Simulator>(state);
+}
+void BM_EventQueueChurnLegacy(benchmark::State& state) {
+  event_queue_churn<LegacySim>(state);
+}
 BENCHMARK(BM_EventQueueChurn)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_EventQueueChurnLegacy)->Arg(100000);
 
 // ---------------------------------------------------------------------------
 // One-shot fan-out: schedule everything, then drain. Stresses bulk insert

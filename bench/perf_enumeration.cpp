@@ -2,8 +2,10 @@
 // Also asserts the footnote-4 count as a startup sanity check.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "hcep/config/space.hpp"
 
@@ -46,6 +48,32 @@ void BM_DecodeAt(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DecodeAt);
+
+/// BM_DecodeAt's mixed-radix arithmetic inline, from the space's public
+/// radices: the twin a regression inside decode_at leaves behind.
+/// (BM_ConfigDecode calls decode_at, so it slows with it.)
+void BM_DecodeAtReplica(benchmark::State& state) {
+  const config::ConfigSpace space = config::make_a9_k10_space(10, 10);
+  std::vector<std::uint64_t> radix, points;
+  for (std::size_t t = 0; t < space.types().size(); ++t) {
+    radix.push_back(space.types()[t].tuples() + 1);
+    points.push_back(space.points_for(t));
+  }
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    std::uint64_t code = i + 1;
+    std::uint64_t nodes = 0;
+    for (std::size_t t = 0; t < radix.size(); ++t) {
+      const std::uint64_t digit = code % radix[t];
+      code /= radix[t];
+      if (digit != 0) nodes += (digit - 1) / points[t] + 1;
+    }
+    benchmark::DoNotOptimize(nodes);
+    i = (i + 7919) % space.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DecodeAtReplica);
 
 void BM_FullSweep(benchmark::State& state) {
   const config::ConfigSpace space = config::make_a9_k10_space(10, 10);

@@ -1,18 +1,33 @@
 // Library performance: the request-level traffic path.
 //
-// Quantifies (a) arrival-generator throughput (the open-loop pump must
-// never be the bottleneck of a simulation), (b) the token-bucket
-// admission primitive, and (c) end-to-end requests/second through the
-// full simulate_traffic path — queueing, dispatch, SLO ledger and
-// energy accounting — with and without admission control. The largest
-// size pushes >1M requests through the admission/SLO path, the
-// regression-gated configuration in BENCH_traffic.json.
+// Every gated row has a twin in this binary that does the same number of
+// items without the code under test, and tools/bench_regress.py gates
+// the twin/row throughput ratio measured in the same run:
+//
+//   BM_RawExponential / BM_PoissonArrivals
+//                          a bare Rng::exponential loop vs the virtual
+//                          generator that wraps it
+//   BM_TokenBucketReplica / BM_TokenBucketAcquire
+//                          an inline copy of the refill arithmetic vs
+//                          the library's out-of-line, checked bucket
+//   BM_DesReplay / BM_SimulateTraffic, BM_AdmissionSloPath
+//                          the run's event skeleton alone (Poisson
+//                          arrivals, one completion per request, inline
+//                          callbacks on des::Simulator) vs the full
+//                          engine: dispatch, queues, admission, retries,
+//                          SLO ledger and energy accounting
+//
+// A regression in the code under test slows only the row, so the ratio
+// rises past its max_ratio whatever the host's speed.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "hcep/des/simulator.hpp"
 #include "hcep/model/cluster_spec.hpp"
 #include "hcep/traffic/admission.hpp"
 #include "hcep/traffic/arrivals.hpp"
@@ -50,6 +65,18 @@ void BM_PoissonArrivals(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PoissonArrivals);
+
+/// BM_PoissonArrivals without the generator: the same draws inline.
+void BM_RawExponential(benchmark::State& state) {
+  Rng rng(1);
+  double now = 0.0;
+  for (auto _ : state) {
+    now += rng.exponential(100.0);
+    benchmark::DoNotOptimize(now);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RawExponential);
 
 void BM_BurstyArrivals(benchmark::State& state) {
   const auto gen = make_bursty(50.0, Seconds{2.0}, 300.0, Seconds{0.5});
@@ -90,7 +117,77 @@ void BM_TokenBucketAcquire(benchmark::State& state) {
 }
 BENCHMARK(BM_TokenBucketAcquire);
 
+/// BM_TokenBucketAcquire's arithmetic inline: refill to `t`, then take
+/// one token when one is there.
+void BM_TokenBucketReplica(benchmark::State& state) {
+  const double rate = 1e9;
+  const double burst = 64.0;
+  double tokens = burst;
+  double last = 0.0;
+  double t = 0.0;
+  for (auto _ : state) {
+    tokens = std::min(burst, tokens + rate * (t - last));
+    last = t;
+    const bool ok = tokens >= 1.0;
+    if (ok) tokens -= 1.0;
+    benchmark::DoNotOptimize(ok);
+    t += 1e-9;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TokenBucketReplica);
+
 // --- End-to-end request path ---------------------------------------------
+
+/// BM_SimulateTraffic's event skeleton without the engine: each arrival
+/// schedules the next one and its request's completion an exponential
+/// service time later; callbacks only count.
+struct Replay {
+  Replay(const ArrivalProcess& arrivals, double service_rate_per_s,
+         std::uint64_t n)
+      : gen(arrivals.clone()), service_rate(service_rate_per_s), left(n) {}
+
+  des::Simulator sim;
+  std::unique_ptr<ArrivalProcess> gen;
+  Rng rng{1};
+  double service_rate;
+  std::uint64_t left;
+  std::uint64_t completed = 0;
+};
+
+struct Complete {
+  Replay* r;
+  void operator()() const { ++r->completed; }
+};
+
+struct Arrive {
+  Replay* r;
+  void operator()() const {
+    const Seconds now = r->sim.now();
+    r->sim.schedule_at(now + Seconds{r->rng.exponential(r->service_rate)},
+                       Complete{r});
+    if (--r->left > 0)
+      r->sim.schedule_at(r->gen->next(now, r->rng), Arrive{r});
+  }
+};
+
+void BM_DesReplay(benchmark::State& state) {
+  const auto cluster = model::make_a9_k10_cluster(4, 2);
+  const double capacity = cluster_capacity_per_s(cluster, one_class());
+  const auto arrivals = make_poisson(0.7 * capacity);
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    Replay r(*arrivals, capacity / 6.0, n);  // mean rate of the 6 nodes
+    r.sim.schedule_at(r.gen->next(Seconds{0.0}, r.rng), Arrive{&r});
+    r.sim.run();
+    if (r.completed != n) throw std::logic_error("replay under-ran");
+    benchmark::DoNotOptimize(r.completed);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_DesReplay)->Arg(1 << 14)->Arg(1 << 17)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Open-loop requests through the plain path: dispatch + queue + SLO
 /// ledger + energy, no admission control.
@@ -109,13 +206,12 @@ void BM_SimulateTraffic(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-// Wall-clock timed: BENCH_traffic.json gates the /real_time rows.
 BENCHMARK(BM_SimulateTraffic)->Arg(1 << 14)->Arg(1 << 17)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// The gated configuration: >1M requests per iteration through the FULL
-/// admission/SLO path — token bucket, queue-depth shedding, retries with
-/// exponential backoff, per-class SLO ledger.
+/// Requests through the full admission/SLO path: token bucket,
+/// queue-depth shedding, retries with exponential backoff, per-class SLO
+/// ledger. The 1M-request size is recorded, not gated.
 void BM_AdmissionSloPath(benchmark::State& state) {
   const auto cluster = model::make_a9_k10_cluster(4, 2);
   auto classes = one_class();

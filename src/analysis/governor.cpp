@@ -2,67 +2,14 @@
 
 #include <limits>
 
-#include "hcep/hw/catalog.hpp"
-#include "hcep/model/time_energy.hpp"
 #include "hcep/util/error.hpp"
-#include "hcep/util/table.hpp"
+#include "operating_points.hpp"
 
 namespace hcep::analysis {
 
 namespace {
 
-struct OperatingPoint {
-  model::ClusterSpec config;
-  double throughput = 0.0;  ///< units/s at this (c, f)
-  Watts idle{};
-  Watts busy{};
-  std::string label;
-};
-
-std::vector<OperatingPoint> enumerate_points(
-    const MixCounts& mix, const workload::Workload& workload) {
-  const hw::NodeSpec a9 = hw::cortex_a9();
-  const hw::NodeSpec k10 = hw::opteron_k10();
-
-  std::vector<OperatingPoint> out;
-  const unsigned a9_cores = mix.a9 > 0 ? a9.cores : 1;
-  const std::size_t a9_freqs = mix.a9 > 0 ? a9.dvfs.size() : 1;
-  const unsigned k10_cores = mix.k10 > 0 ? k10.cores : 1;
-  const std::size_t k10_freqs = mix.k10 > 0 ? k10.dvfs.size() : 1;
-
-  for (unsigned ca = 1; ca <= a9_cores; ++ca) {
-    for (std::size_t fa = 0; fa < a9_freqs; ++fa) {
-      for (unsigned ck = 1; ck <= k10_cores; ++ck) {
-        for (std::size_t fk = 0; fk < k10_freqs; ++fk) {
-          model::ClusterSpec cfg;
-          std::string label;
-          if (mix.a9 > 0) {
-            cfg.groups.push_back(
-                model::NodeGroup{a9, mix.a9, ca, a9.dvfs.step(fa)});
-            label += "A9@" + std::to_string(ca) + "c/" +
-                     fmt(a9.dvfs.step(fa).value() / 1e9, 1) + "GHz";
-          }
-          if (mix.k10 > 0) {
-            cfg.groups.push_back(
-                model::NodeGroup{k10, mix.k10, ck, k10.dvfs.step(fk)});
-            if (!label.empty()) label += "+";
-            label += "K10@" + std::to_string(ck) + "c/" +
-                     fmt(k10.dvfs.step(fk).value() / 1e9, 1) + "GHz";
-          }
-          model::TimeEnergyModel m(cfg, workload);
-          out.push_back(OperatingPoint{
-              .config = std::move(cfg),
-              .throughput = m.peak_throughput(),
-              .idle = m.idle_power(),
-              .busy = m.busy_power(),
-              .label = std::move(label),
-          });
-        }
-      }
-    }
-  }
-  return out;
-}
+using detail::OperatingPoint;
 
 /// Average power of an operating point serving absolute demand
 /// `demand_rate` (units/s): the point runs busy for the fraction of time
@@ -81,7 +28,7 @@ GovernorStudyResult run_governor_study(const workload::Workload& workload,
   std::vector<double> grid = options.utilizations;
   if (grid.empty()) grid = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
 
-  const auto points = enumerate_points(options.mix, workload);
+  const auto points = detail::enumerate_points(options.mix, workload);
   require(!points.empty(), "run_governor_study: no operating points");
 
   // Reference: the fastest point (c_max, f_max) — race-to-idle baseline.

@@ -28,8 +28,8 @@ JsonValue ControlSummary::to_json() const {
         JsonValue::boolean(all_dispatches_available));
   o.set("trace_steps",
         JsonValue::number(static_cast<std::int64_t>(trace.steps().size())));
-  // The flight recorder is additive: runs without one keep the historic
-  // document shape byte-for-byte.
+  // The flight recorder is additive: a summary without records (no
+  // ticks) keeps the historic document shape byte-for-byte.
   if (!flight.empty() || flight.dropped() > 0) {
     o.set("flight", flight.to_json());
   }

@@ -32,6 +32,12 @@ std::vector<std::size_t> efficiency_order(const TickContext& ctx,
   return order;
 }
 
+/// Wake one more parked node when the mean queue depth per active node
+/// exceeds this between ticks (congestion override of the rate signal).
+constexpr double kWakeQueueDepth = 4.0;
+/// Only park nodes whose window utilization fell to this or below.
+constexpr double kParkUtilization = 0.5;
+
 class PowerGateController final : public Controller {
  public:
   explicit PowerGateController(PowerGateOptions options)
@@ -60,7 +66,7 @@ class PowerGateController final : public Controller {
     }
     const bool congested =
         static_cast<double>(total_queued) >
-        options_.wake_queue_depth *
+        kWakeQueueDepth *
             static_cast<double>(std::max<std::size_t>(1, dispatchable));
 
     // Keep the most efficient non-sleeping prefix covering the target.
@@ -81,7 +87,7 @@ class PowerGateController final : public Controller {
     for (const std::size_t i : order) {
       const NodeStatus& s = ctx.nodes[i];
       if (keep[i] || s.state != PowerState::kActive) continue;
-      if (s.utilization <= options_.park_utilization) act.sleep_node(i);
+      if (s.utilization <= kParkUtilization) act.sleep_node(i);
     }
 
     // Wake back: enough capacity for the rate target, plus one extra
@@ -167,6 +173,10 @@ class DvfsGovernor final : public Controller {
   DvfsGovernorOptions options_;
 };
 
+/// Restores keep worst-case draw below cap * (1 - kRestoreGuard), so
+/// they do not oscillate across the cap.
+constexpr double kRestoreGuard = 0.02;
+
 class PowerCapController final : public Controller {
  public:
   explicit PowerCapController(PowerCapOptions options) : options_(options) {}
@@ -177,7 +187,7 @@ class PowerCapController final : public Controller {
     const std::size_t n = ctx.num_nodes;
     if (n == 0) return;
     const Watts limit = options_.cap * ctx.shard_share;
-    const Watts restore_limit = limit * (1.0 - options_.guard);
+    const Watts restore_limit = limit * (1.0 - kRestoreGuard);
     Watts worst = ctx.worst_case_power;
 
     // Local mirror of the fleet (ctx is a snapshot; our own actuations

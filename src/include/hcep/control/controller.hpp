@@ -142,9 +142,8 @@ struct ControlOptions {
   std::shared_ptr<const Controller> controller;
   /// Fixed tick interval.
   Seconds period{5.0};
-  /// Also tick (at most once per min_event_spacing) when admission sheds
-  /// a request — congestion feedback between periodic ticks.
-  bool event_triggered = true;
+  /// A shed request also triggers a tick, at most once per
+  /// min_event_spacing: congestion feedback between periodic ticks.
   Seconds min_event_spacing{0.5};
   /// Wake latency: a woken node draws idle power but serves nothing for
   /// this long (autoscale.hpp boot-delay semantics).
@@ -157,12 +156,6 @@ struct ControlOptions {
   /// ControlSummary::trace (property tests re-integrate it against the
   /// energy ledger; costs two ledger entries per dispatch).
   bool record_power_trace = false;
-  /// Append one obs::stream::DecisionRecord per tick to
-  /// ControlSummary::flight — the control plane's audit ledger (observed
-  /// signals, actions, predicted vs realized effect one window later).
-  bool flight_recorder = true;
-  /// Drop-oldest bound of the per-shard flight recorder.
-  std::size_t flight_capacity = 1u << 16;
 
   [[nodiscard]] bool enabled() const { return controller != nullptr; }
 };
@@ -190,8 +183,11 @@ struct ControlSummary {
   /// trace.energy(makespan) + wake_energy == TrafficResult::energy to
   /// 1e-9 (tests/test_properties.cpp).
   power::PowerTrace trace;
-  /// Per-tick decision audit ledger when ControlOptions::flight_recorder
-  /// (merged across shards in deterministic (time, shard, tick) order).
+  /// Per-tick decision audit ledger: one obs::stream::DecisionRecord per
+  /// tick (observed signals, actions, predicted vs realized effect one
+  /// window later). Each shard keeps its latest
+  /// FlightRecorder::kDefaultCapacity records; the shards merge in
+  /// deterministic (time, shard, tick) order.
   obs::stream::FlightRecorder flight;
 
   [[nodiscard]] JsonValue to_json() const;

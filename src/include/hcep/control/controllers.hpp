@@ -27,18 +27,14 @@ struct PowerGateOptions {
   double headroom = 0.25;
   /// Never park below this fraction of the fleet (QoS floor, >= 1 node).
   double min_active_fraction = 0.05;
-  /// Wake parked nodes when mean queue depth per active node exceeds
-  /// this between ticks (congestion override of the rate signal).
-  double wake_queue_depth = 4.0;
-  /// Only park nodes whose window utilization fell below this.
-  double park_utilization = 0.5;
 };
 
 /// Sleeps and wakes whole nodes against the windowed arrival rate:
 /// nodes are ranked by work-per-watt (service rate over worst-case busy
 /// power) and the most efficient prefix covering the capacity target
-/// stays awake; the rest park. Queue pressure wakes nodes between
-/// rate-driven decisions.
+/// stays awake; the rest park, if their window utilization is at most
+/// 50%. A mean queue depth above 4 per active node wakes one more node
+/// per tick.
 [[nodiscard]] std::unique_ptr<Controller> make_power_gate(
     PowerGateOptions options = {});
 
@@ -61,15 +57,13 @@ struct PowerCapOptions {
   /// Rack budget (the paper's Table 8 racks are provisioned at 1 kW).
   /// Sharded runs enforce cap * shard_share per shard.
   Watts cap{1000.0};
-  /// Keep worst-case draw below cap * (1 - guard) when unthrottling, so
-  /// restores don't oscillate across the cap.
-  double guard = 0.02;
 };
 
 /// Enforces worst-case rack draw <= cap: throttles the operating points
 /// with the largest power reduction first, parks idle nodes only when
 /// every node is already at its slowest point, and restores (wakes, then
-/// upgrades cheapest-first) while headroom allows. Because enforcement
+/// upgrades cheapest-first) while the draw stays 2% below the cap, so
+/// restores do not oscillate across it. Because enforcement
 /// acts on worst-case busy power, the instantaneous rack draw never
 /// exceeds the cap between ticks (tests/test_properties.cpp).
 [[nodiscard]] std::unique_ptr<Controller> make_power_cap(

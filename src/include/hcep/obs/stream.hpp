@@ -293,7 +293,10 @@ struct DecisionRecord {
 /// RunReport.
 class FlightRecorder {
  public:
-  explicit FlightRecorder(std::size_t capacity = 1u << 16);
+  /// The bound of every traffic engine's recorder (one per shard).
+  static constexpr std::size_t kDefaultCapacity = 1u << 16;
+
+  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
   void append(DecisionRecord record);
   [[nodiscard]] std::size_t size() const { return records_.size(); }

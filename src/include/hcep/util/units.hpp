@@ -24,7 +24,8 @@
 //
 // Zero overhead: a Quantity is a trivially copyable wrapper around one
 // double (static_asserts below); at -O2 the generated code is identical
-// to raw-double arithmetic (bench/perf_units.cpp guards this).
+// to raw-double arithmetic (Units.TypedIntegrationIsNotPessimized in
+// tests/test_units.cpp guards this at run time).
 #pragma once
 
 #include <compare>
@@ -299,8 +300,10 @@ using Gigahertz = Quantity<FrequencyDim, std::giga>;
 //
 // A Quantity must be a transparent double: same size, same alignment,
 // trivially copyable, so arrays of typed metrics have raw-double layout
-// and pass-by-value compiles to pass-in-register. bench/perf_units.cpp
-// holds the codegen side of this contract.
+// and pass-by-value compiles to pass-in-register. The static_asserts
+// below hold the layout side of this contract, the compile-fail harness
+// the type side and Units.TypedIntegrationIsNotPessimized the run-time
+// side.
 
 static_assert(sizeof(Joules) == sizeof(double));
 static_assert(sizeof(Watts) == sizeof(double));

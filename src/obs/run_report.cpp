@@ -123,8 +123,9 @@ std::vector<std::string> RunReport::warnings() const {
   if (flight.dropped() > 0) {
     out.push_back("flight recorder evicted " +
                   std::to_string(flight.dropped()) +
-                  " decision records (raise "
-                  "ControlOptions::flight_capacity)");
+                  " decision records (each shard keeps its latest " +
+                  std::to_string(stream::FlightRecorder::kDefaultCapacity) +
+                  "; raise control.period)");
   }
   return out;
 }

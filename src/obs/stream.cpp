@@ -220,9 +220,19 @@ Collector::Collector(const StreamOptions& options,
   queued_.assign(node_classes_.size(), 0);
 }
 
+/// The most windows one collector opens. Windows grow with the span of
+/// the run over stream.window, not with its requests, so a run that
+/// would pass the cap is rejected instead of allocated for.
+constexpr std::uint64_t kMaxWindows = std::uint64_t{1} << 16;
+
 Collector::Live& Collector::window_at(std::uint64_t index) {
   while (live_.size() <= index) {
     const auto i = static_cast<std::uint64_t>(live_.size());
+    if (i >= kMaxWindows) {
+      throw PreconditionError(
+          "stream: the run spans more than " + std::to_string(kMaxWindows) +
+          " windows; widen stream.window");
+    }
     Live lw{StreamWindow{}, QuantileSketch{options_.sketch_epsilon}};
     lw.w.index = i;
     lw.w.t0 = Seconds{static_cast<double>(i) * width_};

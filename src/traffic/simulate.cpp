@@ -423,10 +423,6 @@ class Engine final : public control::Actuator {
       stream_ = std::make_unique<obs::stream::Collector>(
           options_.stream, std::move(cls), std::move(floors));
     }
-    if (copts_ != nullptr && copts_->flight_recorder) {
-      frec_ = std::make_unique<obs::stream::FlightRecorder>(
-          copts_->flight_capacity);
-    }
   }
 
   /// Schedules the tick chain (t = 0 first); no-op without a controller.
@@ -514,7 +510,6 @@ class Engine final : public control::Actuator {
     csum_.gating_savings = savings;
     csum_.enabled = true;
     csum_.controller = controller_->name();
-    if (frec_ != nullptr) csum_.flight = std::move(*frec_);
   }
 
  private:
@@ -608,10 +603,20 @@ class Engine final : public control::Actuator {
     return !arrivals_done_ || inflight_ > 0;
   }
 
+  /// The most fixed-interval ticks one engine runs: ticks grow with the
+  /// makespan over control.period, not with requests, so a run that
+  /// would pass the cap is rejected instead of ticked through.
+  static constexpr std::uint64_t kMaxTicks = std::uint64_t{1} << 17;
+
   /// Fixed-interval tick chain; stops once the run has drained so the
   /// event queue empties and sim.run() returns.
   void periodic_tick() {
     if (!work_remaining()) return;
+    if (csum_.ticks - csum_.event_ticks >= kMaxTicks) {
+      throw PreconditionError(
+          "control: the run outlasts " + std::to_string(kMaxTicks) +
+          " control periods; raise control.period");
+    }
     run_tick(/*event=*/false);
     auto cb = [this]() { periodic_tick(); };
     static_assert(des::Callback::stores_inline<decltype(cb)>);
@@ -621,8 +626,7 @@ class Engine final : public control::Actuator {
   /// Schedules a near-immediate extra tick on congestion signals (queue
   /// sheds), rate-limited by min_event_spacing.
   void request_event_tick() {
-    if (copts_ == nullptr || !copts_->event_triggered || event_tick_pending_)
-      return;
+    if (copts_ == nullptr || event_tick_pending_) return;
     if (sim_.now() - last_tick_ < copts_->min_event_spacing) return;
     event_tick_pending_ = true;
     auto cb = [this]() {
@@ -699,21 +703,19 @@ class Engine final : public control::Actuator {
     // pre-actuation observation), then capture action-count baselines.
     std::uint64_t window_completed = 0;
     Seconds window_p99{0.0};
-    if (frec_ != nullptr) {
-      for (const control::ClassFeedback& fb : class_buf_) {
-        window_completed += fb.window_completed;
-        window_p99 = std::max(window_p99, fb.window_p99);
-      }
-      obs::stream::DecisionRecord* prev = frec_->last();
-      if (prev != nullptr && !prev->realized_valid) {
-        prev->realized_valid = true;
-        prev->realized_power = worst;
-        prev->realized_rate_per_s =
-            window.value() > 0.0
-                ? static_cast<double>(window_completed) / window.value()
-                : 0.0;
-        prev->realized_p99 = window_p99;
-      }
+    for (const control::ClassFeedback& fb : class_buf_) {
+      window_completed += fb.window_completed;
+      window_p99 = std::max(window_p99, fb.window_p99);
+    }
+    obs::stream::DecisionRecord* prev = csum_.flight.last();
+    if (prev != nullptr && !prev->realized_valid) {
+      prev->realized_valid = true;
+      prev->realized_power = worst;
+      prev->realized_rate_per_s =
+          window.value() > 0.0
+              ? static_cast<double>(window_completed) / window.value()
+              : 0.0;
+      prev->realized_p99 = window_p99;
     }
     const std::uint64_t sleeps0 = csum_.sleeps;
     const std::uint64_t wakes0 = csum_.wakes;
@@ -735,51 +737,49 @@ class Engine final : public control::Actuator {
         o_->tracer.end(now.value(), ctrl_cat_s_, tick_s_);
       }
     }
-    if (frec_ != nullptr) {
-      obs::stream::DecisionRecord rec;
-      rec.tick = csum_.ticks;
-      rec.shard = shard_index_;
-      rec.event = event;
-      rec.t = now;
-      rec.window = window;
-      rec.arrivals_per_s = ctx.window_arrivals_per_s;
-      rec.observed_power = worst;
-      for (const control::NodeStatus& st : status_buf_) {
-        rec.queued += st.queued;
-        switch (st.state) {
-          case control::PowerState::kActive: ++rec.active; break;
-          case control::PowerState::kDraining: ++rec.draining; break;
-          case control::PowerState::kSleeping: ++rec.sleeping; break;
-        }
+    obs::stream::DecisionRecord rec;
+    rec.tick = csum_.ticks;
+    rec.shard = shard_index_;
+    rec.event = event;
+    rec.t = now;
+    rec.window = window;
+    rec.arrivals_per_s = ctx.window_arrivals_per_s;
+    rec.observed_power = worst;
+    for (const control::NodeStatus& st : status_buf_) {
+      rec.queued += st.queued;
+      switch (st.state) {
+        case control::PowerState::kActive: ++rec.active; break;
+        case control::PowerState::kDraining: ++rec.draining; break;
+        case control::PowerState::kSleeping: ++rec.sleeping; break;
       }
-      rec.window_completed = window_completed;
-      for (const control::ClassFeedback& fb : class_buf_) {
-        rec.window_shed += fb.window_shed;
-      }
-      rec.window_p99 = window_p99;
-      rec.sleeps = static_cast<std::uint32_t>(csum_.sleeps - sleeps0);
-      rec.wakes = static_cast<std::uint32_t>(csum_.wakes - wakes0);
-      rec.point_changes =
-          static_cast<std::uint32_t>(csum_.point_changes - points0);
-      rec.transitions = std::move(tick_transitions_);
-      tick_transitions_.clear();
-      // Predicted effect of the post-actuation fleet: conservative draw
-      // plus the aggregate service rate of nodes able to take work.
-      Watts predicted{0.0};
-      double rate = 0.0;
-      for (const Node& n : nodes_) {
-        if (n.pstate == control::PowerState::kSleeping) {
-          predicted += copts_->sleep_power;
-        } else {
-          predicted += point_row(n).busy_worst;
-          if (n.pstate == control::PowerState::kActive)
-            rate += point_row(n).rate;
-        }
-      }
-      rec.predicted_power = predicted;
-      rec.predicted_rate_per_s = rate;
-      frec_->append(std::move(rec));
     }
+    rec.window_completed = window_completed;
+    for (const control::ClassFeedback& fb : class_buf_) {
+      rec.window_shed += fb.window_shed;
+    }
+    rec.window_p99 = window_p99;
+    rec.sleeps = static_cast<std::uint32_t>(csum_.sleeps - sleeps0);
+    rec.wakes = static_cast<std::uint32_t>(csum_.wakes - wakes0);
+    rec.point_changes =
+        static_cast<std::uint32_t>(csum_.point_changes - points0);
+    rec.transitions = std::move(tick_transitions_);
+    tick_transitions_.clear();
+    // Predicted effect of the post-actuation fleet: conservative draw
+    // plus the aggregate service rate of nodes able to take work.
+    Watts predicted{0.0};
+    double rate = 0.0;
+    for (const Node& n : nodes_) {
+      if (n.pstate == control::PowerState::kSleeping) {
+        predicted += copts_->sleep_power;
+      } else {
+        predicted += point_row(n).busy_worst;
+        if (n.pstate == control::PowerState::kActive)
+          rate += point_row(n).rate;
+      }
+    }
+    rec.predicted_power = predicted;
+    rec.predicted_rate_per_s = rate;
+    csum_.flight.append(std::move(rec));
     for (Node& n : nodes_) n.window_busy = Seconds{0.0};
     window_arrivals_ = 0;
     for (std::size_t c = 0; c < classes_.size(); ++c) {
@@ -812,7 +812,6 @@ class Engine final : public control::Actuator {
   void record_transition(std::size_t i,
                          obs::stream::DecisionRecord::Transition::Kind kind,
                          std::uint32_t from, std::uint32_t to) {
-    if (frec_ == nullptr) return;
     tick_transitions_.push_back(
         obs::stream::DecisionRecord::Transition{global_node(i), kind, from,
                                                 to});
@@ -1114,7 +1113,6 @@ class Engine final : public control::Actuator {
   std::vector<std::pair<double, double>> ledger_;
   // --- streaming telemetry (inert without TrafficOptions::stream) ---
   std::unique_ptr<obs::stream::Collector> stream_;
-  std::unique_ptr<obs::stream::FlightRecorder> frec_;
   std::vector<obs::stream::DecisionRecord::Transition> tick_transitions_;
   std::uint32_t shard_index_ = 0;
   std::uint32_t shard_count_ = 1;
@@ -1330,12 +1328,9 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
       merged.all_dispatches_available =
           merged.all_dispatches_available && cs.all_dispatches_available;
     }
-    if (options.control.flight_recorder) {
-      std::vector<const obs::stream::FlightRecorder*> recorders;
-      for (auto& e : engines)
-        recorders.push_back(&e->control_summary().flight);
-      merged.flight = obs::stream::FlightRecorder::merge(recorders);
-    }
+    std::vector<const obs::stream::FlightRecorder*> recorders;
+    for (auto& e : engines) recorders.push_back(&e->control_summary().flight);
+    merged.flight = obs::stream::FlightRecorder::merge(recorders);
     shared_energy = shared_energy - merged.gating_savings +
                     merged.wake_energy;
     if (options.control.record_power_trace) {

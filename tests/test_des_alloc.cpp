@@ -2,18 +2,21 @@
 // This binary replaces the global operator new with a counting one, so
 // a warm loop can be checked to allocate nothing at all: the DES
 // kernel's schedule/step cycle (inline callbacks in a recycled slot
-// arena, passing preconditions that build no message), the token
-// bucket every admitted request consults, and the latency sketch every
-// completion adds to.
+// arena, passing preconditions that build no message), the arrival
+// generator every request is drawn from, the token bucket every
+// admitted request consults, and the latency sketch every completion
+// adds to.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "hcep/des/simulator.hpp"
 #include "hcep/traffic/admission.hpp"
+#include "hcep/traffic/arrivals.hpp"
 #include "hcep/traffic/slo.hpp"
 #include "hcep/util/rng.hpp"
 
@@ -80,6 +83,26 @@ TEST(DesAlloc, WarmScheduleStepCyclesAllocateNothing) {
   EXPECT_EQ(fired, static_cast<std::uint64_t>(kWarmCycles + kCountedCycles));
   EXPECT_EQ(sim.pending(), 64u);
   EXPECT_EQ(news, 0u);
+}
+
+TEST(DesAlloc, ArrivalDrawsAllocateNothing) {
+  std::unique_ptr<traffic::ArrivalProcess> gens[] = {
+      traffic::make_poisson(100.0),
+      traffic::make_deterministic(100.0),
+      traffic::make_bursty(50.0, Seconds{2.0}, 300.0, Seconds{0.5}),
+      traffic::make_diurnal(100.0, 0.6, Seconds{60.0}),
+      traffic::make_mmpp({{100.0, Seconds{1.0}}, {0.0, Seconds{0.5}}}),
+  };
+  for (const auto& gen : gens) {
+    SCOPED_TRACE(gen->name());
+    Rng rng(7);
+    Seconds now{0.0};
+    const std::uint64_t news = news_during([&] {
+      for (int i = 0; i < kCountedCycles; ++i) now = gen->next(now, rng);
+    });
+    EXPECT_GT(now.value(), 0.0);
+    EXPECT_EQ(news, 0u);
+  }
 }
 
 TEST(DesAlloc, TokenBucketCallsAllocateNothing) {

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -908,6 +909,7 @@ TEST(Fleet, RandomizedOptionsConserveLedgersOrFailCleanly) {
       ++rejected;
     }
   }
+  std::cout << "rejected " << rejected << " of 48 draws\n";
   // Both outcomes occur: empty replay traces are rejected, everything
   // else runs.
   EXPECT_GT(conserved, 0);

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -722,13 +724,18 @@ TEST(TrafficSharded, RandomizedOptionsMatchSerialOrFailCleanly) {
   // Seeded draws over shard count, classes, generator, admission,
   // retries, controller, stream and records. Each draw is rejected
   // with a PreconditionError or gives its serial twin's bytes and
-  // accounts for every request. Horizons stay within a few dozen stream
-  // windows and control periods.
+  // accounts for every request. The first 48 draws keep their horizons
+  // within a few dozen stream windows and control periods; the last 16
+  // run up to 150 requests at 1 to 1e-4 requests/s with the default
+  // control period and a 0.5 s window, so the longest pass the window
+  // and tick caps.
   Rng rng(20261018);
   const auto pick = [&rng](std::uint64_t n) { return rng.uniform_int(n); };
-  int matched = 0, rejected = 0;
-  for (int iter = 0; iter < 48; ++iter) {
+  int matched = 0;
+  std::array<int, 2> rejected{};  // scaled draws, tiny-rate draws
+  for (int iter = 0; iter < 64; ++iter) {
     SCOPED_TRACE("iteration " + std::to_string(iter));
+    const bool tiny = iter >= 48;
     try {
       const auto a9 = static_cast<unsigned>(pick(4));
       const auto k10 = 1 + static_cast<unsigned>(pick(3));
@@ -737,11 +744,13 @@ TEST(TrafficSharded, RandomizedOptionsMatchSerialOrFailCleanly) {
       classes.resize(1 + pick(3));
       if (pick(2) == 0) classes[0].slo = SloTarget{Seconds{0.05}, 0.95};
       TrafficOptions options;
-      options.requests = pick(1500);  // 0 is rejected
+      options.requests = pick(1500) / (tiny ? 10 : 1);  // 0 is rejected
       options.seed = 1 + pick(1000);
       options.shards = 1 + pick(a9 + k10);
-      const double rate = (0.3 + 0.2 * static_cast<double>(pick(4))) *
-                          cluster_capacity_per_s(cluster, classes);
+      const double rate =
+          tiny ? std::pow(10.0, -static_cast<double>(pick(5)))
+               : (0.3 + 0.2 * static_cast<double>(pick(4))) *
+                     cluster_capacity_per_s(cluster, classes);
       const Seconds span{
           static_cast<double>(std::max<std::uint64_t>(options.requests, 1)) /
           rate};
@@ -776,9 +785,10 @@ TEST(TrafficSharded, RandomizedOptionsMatchSerialOrFailCleanly) {
         case 1: options.control.controller = control::make_power_gate(); break;
         default: break;
       }
-      options.control.period = span * 0.05;
+      options.control.period = tiny ? Seconds{5.0} : span * 0.05;
       options.control.record_power_trace = pick(2) == 0;
-      if (pick(2) == 0) options.stream.window = span * (1.0 / 16.0);
+      if (pick(2) == 0)
+        options.stream.window = tiny ? Seconds{0.5} : span * (1.0 / 16.0);
       options.record_requests = pick(2) == 0;
 
       const TrafficResult r = simulate_traffic(cluster, classes, *gen, options);
@@ -790,12 +800,61 @@ TEST(TrafficSharded, RandomizedOptionsMatchSerialOrFailCleanly) {
       EXPECT_EQ(r.offered, r.completed + r.failed);
       ++matched;
     } catch (const PreconditionError&) {
-      ++rejected;
+      ++rejected[tiny];
     }
   }
-  // Both outcomes occur: zero requests and empty traces are rejected.
+  std::cout << "rejected " << rejected[0] << " of 48 scaled draws and "
+            << rejected[1] << " of 16 tiny-rate draws\n";
+  // Both outcomes occur: zero requests, empty traces and horizons past a
+  // cap are rejected.
   EXPECT_GT(matched, 0);
-  EXPECT_GT(rejected, 0);
+  EXPECT_GT(rejected[0], 0);
+  EXPECT_GT(rejected[1], 0);
+}
+
+/// Runs `run`, which must throw a PreconditionError whose message names
+/// `option`.
+template <class F>
+void expect_rejected_naming(F run, const std::string& option) {
+  try {
+    run();
+    ADD_FAILURE() << "no PreconditionError naming " << option;
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TrafficHorizon, StreamWindowsStopAtTheCap) {
+  // 100 requests at 1e-4/s span about 1e6 s: two million 0.5 s windows
+  // (1.3 GB) without the cap. The run is rejected at the cap instead.
+  TrafficOptions options;
+  options.requests = 100;
+  options.stream.window = Seconds{0.5};
+  expect_rejected_naming(
+      [&] {
+        (void)simulate_traffic(model::make_a9_k10_cluster(4, 2), one_class(),
+                               *make_poisson(1e-4), options);
+      },
+      "stream.window");
+}
+
+TEST(TrafficHorizon, ControlTicksStopAtTheCap) {
+  // The same span at a 0.5 s control period: two million ticks per
+  // engine without the cap, on one shard and on two.
+  for (const std::size_t shards : {1, 2}) {
+    TrafficOptions options;
+    options.requests = 100;
+    options.shards = shards;
+    options.control.controller = control::make_frozen();
+    options.control.period = Seconds{0.5};
+    expect_rejected_naming(
+        [&] {
+          (void)simulate_traffic(model::make_a9_k10_cluster(4, 2),
+                                 one_class(), *make_poisson(1e-4), options);
+        },
+        "control.period");
+  }
 }
 
 TEST(Traffic, PooledSummariesMatchFromAnyThread) {

@@ -211,7 +211,8 @@ TEST(Units, TypedIntegrationIsNotPessimized) {
   // Coarse runtime guard against catastrophic pessimization (virtual
   // dispatch, allocation, missed inlining): the typed power-integration
   // loop must stay within 8x of the raw-double loop even under CI noise.
-  // The precise codegen comparison is bench/perf_units.cpp.
+  // A finer bound would flake: typed and raw twins read 0.5 to 1.2x of
+  // each other between runs on a shared 4-vCPU host.
   constexpr std::size_t kN = 1 << 16;
   std::vector<double> raw_p(kN), raw_t(kN);
   for (std::size_t i = 0; i < kN; ++i) {

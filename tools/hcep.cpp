@@ -126,19 +126,27 @@ const core::PaperStudy& study() {
   return kStudy;
 }
 
-int cmd_report(const std::vector<std::string>& args) {
-  const std::string path = args.empty() ? "REPORT.md" : args[0];
+/// Writes `content` to `path` and, when `announce`, prints "wrote
+/// <path>". Prints "cannot write <path>" and returns false when the file
+/// cannot be opened.
+bool write_file(const std::string& path, const std::string& content,
+                bool announce = true) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "cannot write " << path << "\n";
-    return 2;
+    return false;
   }
+  out << content;
+  if (announce) std::cout << "wrote " << path << "\n";
+  return true;
+}
+
+int cmd_report(const std::vector<std::string>& args) {
+  const std::string path = args.empty() ? "REPORT.md" : args[0];
   analysis::ReportOptions options;
   options.include_observability = true;
   options.include_traffic = true;
-  out << analysis::render_report(study(), options);
-  std::cout << "wrote " << path << "\n";
-  return 0;
+  return write_file(path, analysis::render_report(study(), options)) ? 0 : 2;
 }
 
 int cmd_table(const std::vector<std::string>& args) {
@@ -273,14 +281,9 @@ int cmd_autoscale(const std::vector<std::string>& args) {
 int cmd_export(const std::vector<std::string>& args) {
   if (args.empty() || args[0] != "json") return usage();
   const std::string path = args.size() > 1 ? args[1] : "study.json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return 2;
-  }
-  out << analysis::export_study(study()).dump_pretty() << "\n";
-  std::cout << "wrote " << path << "\n";
-  return 0;
+  return write_file(path, analysis::export_study(study()).dump_pretty() + "\n")
+             ? 0
+             : 2;
 }
 
 // ----------------------------------------------------------- telemetry
@@ -318,12 +321,7 @@ int cmd_trace(const std::vector<std::string>& args) {
   const std::string path = args.size() > 1 ? args[1] : "trace.jsonl";
   obs::Observer observer;
   const cluster::SimResult r = traced_run(args[0], observer);
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return 2;
-  }
-  out << observer.tracer.jsonl();
+  if (!write_file(path, observer.tracer.jsonl(), false)) return 2;
   std::cout << "wrote " << observer.tracer.size() << " events ("
             << observer.tracer.dropped() << " dropped, "
             << r.jobs_completed << " jobs) to " << path << "\n";
@@ -402,17 +400,6 @@ int cmd_profile(const std::vector<std::string>& args) {
               << " J\n";
   }
 
-  const auto write_file = [](const std::string& path,
-                             const std::string& content) {
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot write " << path << "\n";
-      return false;
-    }
-    out << content;
-    std::cout << "wrote " << path << "\n";
-    return true;
-  };
   if (!json_path.empty() && !write_file(json_path, report.json() + "\n"))
     return 2;
   if (!folded_path.empty() &&
@@ -435,14 +422,7 @@ int cmd_selftest_profile() {
 
   obs::Observer observer;
   const cluster::SimResult r = traced_run("synthetic", observer);
-  {
-    std::ofstream out(trace_path);
-    if (!out) {
-      std::cerr << "cannot write " << trace_path << "\n";
-      return 2;
-    }
-    out << observer.tracer.jsonl();
-  }
+  if (!write_file(trace_path, observer.tracer.jsonl(), false)) return 2;
   if (cmd_profile({trace_path, "--json", json_path, "--folded",
                    folded_path, "--prom", prom_path}) != 0) {
     return 2;
@@ -685,15 +665,9 @@ int cmd_fed(const std::vector<std::string>& args) {
                    fmt(c.slo.latency.value() * 1e3, 1),
                    fmt(c.mean_transit.value() * 1e3, 2)});
   std::cout << cls_t;
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
-    out << r.to_json().dump_pretty() << "\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
+  if (!json_path.empty() &&
+      !write_file(json_path, r.to_json().dump_pretty() + "\n"))
+    return 2;
   return 0;
 }
 
@@ -741,6 +715,36 @@ int cmd_selftest(const std::vector<std::string>& args) {
 
 // ------------------------------------------------------------- traffic
 
+/// Sets `options.policy` from a --policy name; prints "unknown policy
+/// <name>" and returns false when no dispatch policy has that name.
+bool parse_policy(const std::string& name, traffic::TrafficOptions& options) {
+  for (const auto p : cluster::all_dispatch_policies()) {
+    if (cluster::to_string(p) == name) {
+      options.policy = p;
+      return true;
+    }
+  }
+  std::cerr << "unknown policy " << name << "\n";
+  return false;
+}
+
+/// The `traffic` and `timeline` --arrivals menu at a mean of `rate`
+/// req/s; prints "unknown arrival process <name>" and returns null for
+/// any other name.
+std::unique_ptr<traffic::ArrivalProcess> menu_arrivals(const std::string& name,
+                                                       double rate) {
+  if (name == "poisson") return traffic::make_poisson(rate);
+  if (name == "deterministic") return traffic::make_deterministic(rate);
+  if (name == "bursty")
+    // 4:1 quiet/burst dwell split with the same long-run mean rate.
+    return traffic::make_bursty(0.5 * rate, Seconds{4.0 / rate * 100.0},
+                                3.0 * rate, Seconds{1.0 / rate * 100.0});
+  if (name == "diurnal")
+    return traffic::make_diurnal(rate, 0.5, Seconds{200.0 / rate});
+  std::cerr << "unknown arrival process " << name << "\n";
+  return nullptr;
+}
+
 int cmd_traffic(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
   const bool synthetic = args[0] == "synthetic";
@@ -786,17 +790,7 @@ int cmd_traffic(const std::vector<std::string>& args) {
       return usage();
   }
 
-  bool policy_found = false;
-  for (const auto p : cluster::all_dispatch_policies()) {
-    if (cluster::to_string(p) == policy_name) {
-      options.policy = p;
-      policy_found = true;
-    }
-  }
-  if (!policy_found) {
-    std::cerr << "unknown policy " << policy_name << "\n";
-    return 1;
-  }
+  if (!parse_policy(policy_name, options)) return 1;
 
   std::vector<traffic::TrafficClass> classes{
       traffic::TrafficClass{w, 1.0, traffic::SloTarget{}}};
@@ -806,21 +800,8 @@ int cmd_traffic(const std::vector<std::string>& args) {
       model::make_a9_k10_cluster(4, 2), classes);
   const double rate = util * capacity;
 
-  std::unique_ptr<traffic::ArrivalProcess> arrivals;
-  if (arrivals_name == "poisson")
-    arrivals = traffic::make_poisson(rate);
-  else if (arrivals_name == "deterministic")
-    arrivals = traffic::make_deterministic(rate);
-  else if (arrivals_name == "bursty")
-    // 4:1 quiet/burst dwell split with the same long-run mean rate.
-    arrivals = traffic::make_bursty(0.5 * rate, Seconds{4.0 / rate * 100.0},
-                                    3.0 * rate, Seconds{1.0 / rate * 100.0});
-  else if (arrivals_name == "diurnal")
-    arrivals = traffic::make_diurnal(rate, 0.5, Seconds{200.0 / rate});
-  else {
-    std::cerr << "unknown arrival process " << arrivals_name << "\n";
-    return 1;
-  }
+  const auto arrivals = menu_arrivals(arrivals_name, rate);
+  if (arrivals == nullptr) return 1;
 
   const auto r = traffic::simulate_traffic(model::make_a9_k10_cluster(4, 2),
                                            classes, *arrivals, options);
@@ -858,15 +839,9 @@ int cmd_traffic(const std::vector<std::string>& args) {
               << fmt(100.0 * c.violation_fraction(), 1) << "%) — "
               << (c.slo_met() ? "met" : "MISSED") << "\n";
   }
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
-    out << r.to_json().dump_pretty() << "\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
+  if (!json_path.empty() &&
+      !write_file(json_path, r.to_json().dump_pretty() + "\n"))
+    return 2;
   return 0;
 }
 
@@ -915,17 +890,7 @@ int cmd_timeline(const std::vector<std::string>& args) {
       return usage();
   }
 
-  bool policy_found = false;
-  for (const auto p : cluster::all_dispatch_policies()) {
-    if (cluster::to_string(p) == policy_name) {
-      options.policy = p;
-      policy_found = true;
-    }
-  }
-  if (!policy_found) {
-    std::cerr << "unknown policy " << policy_name << "\n";
-    return 1;
-  }
+  if (!parse_policy(policy_name, options)) return 1;
 
   std::vector<traffic::TrafficClass> classes{
       traffic::TrafficClass{w, 1.0, traffic::SloTarget{}}};
@@ -933,20 +898,8 @@ int cmd_timeline(const std::vector<std::string>& args) {
   const double capacity = traffic::cluster_capacity_per_s(spec, classes);
   const double rate = util * capacity;
 
-  std::unique_ptr<traffic::ArrivalProcess> arrivals;
-  if (arrivals_name == "poisson")
-    arrivals = traffic::make_poisson(rate);
-  else if (arrivals_name == "deterministic")
-    arrivals = traffic::make_deterministic(rate);
-  else if (arrivals_name == "bursty")
-    arrivals = traffic::make_bursty(0.5 * rate, Seconds{4.0 / rate * 100.0},
-                                    3.0 * rate, Seconds{1.0 / rate * 100.0});
-  else if (arrivals_name == "diurnal")
-    arrivals = traffic::make_diurnal(rate, 0.5, Seconds{200.0 / rate});
-  else {
-    std::cerr << "unknown arrival process " << arrivals_name << "\n";
-    return 1;
-  }
+  const auto arrivals = menu_arrivals(arrivals_name, rate);
+  if (arrivals == nullptr) return 1;
 
   // Default width: ~64 windows over the nominal run span, so the table
   // stays readable at any --requests scale.
@@ -989,17 +942,6 @@ int cmd_timeline(const std::vector<std::string>& args) {
   }
   std::cout << t;
 
-  const auto write_file = [](const std::string& path,
-                             const std::string& content) {
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot write " << path << "\n";
-      return false;
-    }
-    out << content;
-    std::cout << "wrote " << path << "\n";
-    return true;
-  };
   if (!json_path.empty() &&
       !write_file(json_path, tl.to_json().dump() + "\n"))
     return 2;
@@ -1042,15 +984,8 @@ int cmd_diff(const std::vector<std::string>& args) {
   const obs::stream::StreamTimeline b = load_timeline(args[1]);
   const obs::stream::TimelineDiff d = obs::stream::diff_timelines(a, b, tol);
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
-    out << d.to_json().dump() << "\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
+  if (!json_path.empty() && !write_file(json_path, d.to_json().dump() + "\n"))
+    return 2;
 
   if (d.shape_mismatch)
     std::cout << "shape mismatch: " << d.note << "\n";
@@ -1202,17 +1137,11 @@ int cmd_control(const std::vector<std::string>& args) {
               << "% violations)\n";
   }
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
     JsonValue doc = JsonValue::object();
     doc.set("open_loop", base.to_json());
     doc.set("closed_loop", r.to_json());
     doc.set("control", r.control.to_json());
-    out << doc.dump_pretty() << "\n";
-    std::cout << "wrote " << json_path << "\n";
+    if (!write_file(json_path, doc.dump_pretty() + "\n")) return 2;
   }
   return 0;
 }

@@ -2,7 +2,7 @@
 //
 // Byte-determinism per (seed, shards) is this repo's load-bearing
 // invariant — the frozen-controller oracle, the serial/parallel timeline
-// identity, and every BENCH_*.json gate depend on it. The analyzer
+// identity, and every pinned result hash depend on it. The analyzer
 // behind this driver is a real multi-pass checker (not line regexes):
 //
 //   pass 1  lexer.cpp     comment/string/raw-string-aware tokenizer
