@@ -3,9 +3,9 @@
 // — into one deterministic, serializable artifact.
 //
 // The JSON form (util/json) is byte-stable for a given input: every
-// collection is emitted in a deterministic order and doubles print in
-// shortest round-trip form, so two same-seed runs produce identical
-// report bytes (asserted in tests). The Prometheus text form exposes the
+// collection is emitted in a deterministic order and doubles print at
+// 12 significant digits, so two same-seed runs produce identical report
+// bytes (asserted in tests). The Prometheus text form exposes the
 // merged metric snapshot for scrape-style consumption.
 #pragma once
 

@@ -58,25 +58,27 @@ struct StreamOptions {
 };
 
 /// Deterministic base-2 sub-bucketed quantile histogram (HDR style)
-/// with a hard bucket cap.
+/// over non-negative values, with a hard bucket cap.
 ///
 /// Guarantee: for the exact order statistic x at rank ceil(q * count())
 /// of the inserted multiset, quantile(q) returns a value v with
-/// |v - x| <= epsilon() * |x|. Buckets split each power-of-two octave
-/// of |value| into 2^shift equal sub-buckets straight from the double's
-/// bit pattern, so insert() is O(1) integer work — no comparisons, no
-/// sorting — which is what keeps the streaming collector inside the
-/// <= 5% overhead gate. Zero is counted exactly; negative values use a
-/// mirrored histogram. merge() sums buckets, so unlike rank-error
-/// summaries the bound does NOT grow across shard merges: epsilon() is
-/// the max of the two sides. If the contiguous bucket range would
-/// exceed max_buckets(), resolution halves (shift - 1, adjacent
-/// buckets fold pairwise) deterministically and epsilon() reports the
-/// escalated bound honestly.
+/// |v - x| <= epsilon() * x. Buckets split each power-of-two octave
+/// of the value into 2^shift equal sub-buckets straight from the
+/// double's bit pattern, so insert() is O(1) integer work — no sorting —
+/// which is what keeps the streaming collector inside the <= 5%
+/// overhead gate. Zero is counted exactly; a negative or NaN value
+/// throws PreconditionError (latencies, waits and sojourns are never
+/// negative). merge() sums buckets, so unlike rank-error summaries the
+/// bound does NOT grow across shard merges: epsilon() is the max of the
+/// two sides. If the contiguous bucket range would exceed
+/// max_buckets(), resolution halves (shift - 1, adjacent buckets fold
+/// pairwise) deterministically and epsilon() reports the escalated
+/// bound honestly.
 class QuantileSketch {
  public:
   explicit QuantileSketch(double epsilon = 0.005);
 
+  /// Throws PreconditionError on a negative or NaN value.
   void insert(double value);
   /// Folds another sketch in (shard merge); bounds combine by max.
   void merge(const QuantileSketch& other);
@@ -86,26 +88,23 @@ class QuantileSketch {
   [[nodiscard]] std::uint64_t count() const { return n_; }
   /// Currently proven relative value-error bound, 2^-(shift + 1).
   [[nodiscard]] double epsilon() const;
-  /// Bucket-array entries currently allocated (both signs).
-  [[nodiscard]] std::size_t buckets() const;
+  /// Bucket-array entries currently allocated.
+  [[nodiscard]] std::size_t buckets() const { return counts_.size(); }
   /// Hard cardinality cap: buckets() never exceeds it.
   [[nodiscard]] static constexpr std::size_t max_buckets() { return 4096; }
 
  private:
-  void extend(bool negative, std::int32_t index);
+  void extend(std::int32_t index);
   void escalate();
-  [[nodiscard]] double representative(bool negative,
-                                      std::int32_t index) const;
+  [[nodiscard]] double representative(std::int32_t index) const;
 
   std::uint32_t shift_ = 8;  ///< sub-bucket bits per octave
   std::uint64_t n_ = 0;
   std::uint64_t zero_ = 0;   ///< exact count of inserted zeros
-  /// Contiguous bucket ranges over the sub-bucket index
-  /// (biased_exponent << shift | top mantissa bits) of |value|.
-  std::int32_t base_ = 0;    ///< index of counts_[0] (positive values)
-  std::int32_t nbase_ = 0;   ///< index of ncounts_[0] (negative values)
+  /// Contiguous bucket range over the sub-bucket index
+  /// (biased_exponent << shift | top mantissa bits) of the value.
+  std::int32_t base_ = 0;    ///< index of counts_[0]
   std::vector<std::uint64_t> counts_;
-  std::vector<std::uint64_t> ncounts_;
 };
 
 /// Per-node-class slice of one closed window. "Node class" is a node
@@ -167,7 +166,7 @@ struct StreamTimeline {
 
   [[nodiscard]] bool empty() const { return windows.empty(); }
   /// Deterministic JSON document (schema_version 1, insertion-ordered
-  /// keys, shortest round-trip doubles).
+  /// keys, doubles at 12 significant digits).
   [[nodiscard]] JsonValue to_json() const;
   /// Inverse of to_json(); throws PreconditionError on malformed input.
   [[nodiscard]] static StreamTimeline from_json(const JsonValue& doc);

@@ -1,27 +1,13 @@
 #include "hcep/obs/run_report.hpp"
 
-#include <array>
-#include <cstdio>
-
+#include "format_double.hpp"
 #include "hcep/util/error.hpp"
 
 namespace hcep::obs {
 
-namespace {
+using detail::format_double;
 
-/// Shortest decimal form that parses back to exactly `v` — the same
-/// discipline as the trace exporters, so report bytes are reproducible.
-std::string format_double(double v) {
-  std::array<char, 32> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.17g", v);
-  double parsed = 0.0;
-  for (int precision = 1; precision <= 16; ++precision) {
-    std::snprintf(buf.data(), buf.size(), "%.*g", precision, v);
-    std::sscanf(buf.data(), "%lf", &parsed);
-    if (parsed == v) break;
-  }
-  return std::string(buf.data());
-}
+namespace {
 
 /// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. Our dotted names
 /// ("sim.arrival_events") map dots — and anything else invalid — to '_'.

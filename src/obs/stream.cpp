@@ -11,8 +11,8 @@
 namespace hcep::obs::stream {
 namespace {
 
-// Shortest round-trip double rendering, byte-identical to
-// JsonValue::dump so CSV and JSON artifacts agree on every value.
+// A double at 12 significant digits, byte-identical to JsonValue::dump
+// so CSV and JSON artifacts agree on every value.
 std::string format_number(double v) {
   return JsonValue::number(v).dump();
 }
@@ -48,75 +48,64 @@ double QuantileSketch::epsilon() const {
   return std::ldexp(1.0, -static_cast<int>(shift_) - 1);
 }
 
-std::size_t QuantileSketch::buckets() const {
-  return counts_.size() + ncounts_.size();
-}
-
 void QuantileSketch::escalate() {
   --shift_;
   // Halving the sub-bucket resolution maps index -> index >> 1 exactly
   // ((exp << s) | m becomes (exp << (s-1)) | (m >> 1)), so adjacent
   // buckets fold pairwise.
-  const auto fold = [](std::vector<std::uint64_t>& arr,
-                       std::int32_t& base) {
-    if (arr.empty()) return;
-    const std::int32_t nb = base >> 1;
-    const std::int32_t last =
-        (base + static_cast<std::int32_t>(arr.size()) - 1) >> 1;
-    std::vector<std::uint64_t> out(
-        static_cast<std::size_t>(last - nb) + 1, 0);
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      out[static_cast<std::size_t>(
-          ((base + static_cast<std::int32_t>(i)) >> 1) - nb)] += arr[i];
-    }
-    arr = std::move(out);
-    base = nb;
-  };
-  fold(counts_, base_);
-  fold(ncounts_, nbase_);
+  if (counts_.empty()) return;
+  const std::int32_t nb = base_ >> 1;
+  const std::int32_t last =
+      (base_ + static_cast<std::int32_t>(counts_.size()) - 1) >> 1;
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(last - nb) + 1, 0);
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    out[static_cast<std::size_t>(
+        ((base_ + static_cast<std::int32_t>(i)) >> 1) - nb)] += counts_[i];
+  }
+  counts_ = std::move(out);
+  base_ = nb;
 }
 
-void QuantileSketch::extend(bool negative, std::int32_t index) {
-  auto& arr = negative ? ncounts_ : counts_;
-  auto& base = negative ? nbase_ : base_;
-  if (arr.empty()) {
-    base = index;
-    arr.push_back(0);
-  } else if (index < base) {
-    arr.insert(arr.begin(), static_cast<std::size_t>(base - index), 0);
-    base = index;
+void QuantileSketch::extend(std::int32_t index) {
+  if (counts_.empty()) {
+    base_ = index;
+    counts_.push_back(0);
+  } else if (index < base_) {
+    counts_.insert(counts_.begin(), static_cast<std::size_t>(base_ - index),
+                   0);
+    base_ = index;
   } else {
-    arr.resize(static_cast<std::size_t>(index - base) + 1, 0);
+    counts_.resize(static_cast<std::size_t>(index - base_) + 1, 0);
   }
   // Bucket-cap pressure: halve the resolution deterministically until
-  // the contiguous ranges fit again (at shift 0 the range is the bare
-  // exponent, at most 2048 buckets per sign — always under the cap).
-  while (counts_.size() + ncounts_.size() > max_buckets() && shift_ > 0)
-    escalate();
+  // the contiguous range fits again (at shift 0 the range is the bare
+  // exponent, at most 2048 buckets — always under the cap).
+  while (counts_.size() > max_buckets() && shift_ > 0) escalate();
 }
 
 void QuantileSketch::insert(double value) {
-  ++n_;
-  if (value == 0.0) {
+  // One compare on the fast path: a positive value is neither zero nor
+  // rejected (NaN fails every comparison).
+  if (!(value > 0.0)) {
+    require(value == 0.0, "QuantileSketch: negative or NaN value");
+    ++n_;
     ++zero_;
     return;
   }
-  const bool neg = value < 0.0;
-  const double a = neg ? -value : value;
+  ++n_;
   std::uint64_t u;
-  std::memcpy(&u, &a, sizeof u);
+  std::memcpy(&u, &value, sizeof u);
   for (;;) {
     const auto index = static_cast<std::int32_t>(u >> (52U - shift_));
-    const auto& arr = neg ? ncounts_ : counts_;
-    const std::int32_t off = index - (neg ? nbase_ : base_);
-    if (!arr.empty() && off >= 0 &&
-        off < static_cast<std::int32_t>(arr.size())) {
-      ++(neg ? ncounts_ : counts_)[static_cast<std::size_t>(off)];
+    const std::int32_t off = index - base_;
+    if (!counts_.empty() && off >= 0 &&
+        off < static_cast<std::int32_t>(counts_.size())) {
+      ++counts_[static_cast<std::size_t>(off)];
       return;
     }
     // Slow path: grow the bucket range (may escalate shift_, changing
     // the index map — recompute and retry).
-    extend(neg, index);
+    extend(index);
   }
 }
 
@@ -127,39 +116,29 @@ void QuantileSketch::merge(const QuantileSketch& other) {
   while (shift_ > other.shift_) escalate();
   n_ += other.n_;
   zero_ += other.zero_;
-  const auto add = [&](bool negative, std::int32_t index,
-                       std::uint64_t c) {
+  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
+    const std::uint64_t c = other.counts_[i];
+    if (c == 0) continue;
+    // shift_ can escalate mid-loop; re-derive the down-shift each time.
+    std::int32_t index = (other.base_ + static_cast<std::int32_t>(i)) >>
+                         (other.shift_ - shift_);
     for (;;) {
-      auto& arr = negative ? ncounts_ : counts_;
-      const std::int32_t off = index - (negative ? nbase_ : base_);
-      if (!arr.empty() && off >= 0 &&
-          off < static_cast<std::int32_t>(arr.size())) {
-        arr[static_cast<std::size_t>(off)] += c;
-        return;
+      const std::int32_t off = index - base_;
+      if (!counts_.empty() && off >= 0 &&
+          off < static_cast<std::int32_t>(counts_.size())) {
+        counts_[static_cast<std::size_t>(off)] += c;
+        break;
       }
       const std::uint32_t before = shift_;
-      extend(negative, index);
+      extend(index);
       if (shift_ != before) index >>= (before - shift_);
     }
-  };
-  const auto fold_in = [&](const std::vector<std::uint64_t>& src,
-                           std::int32_t src_base, bool negative) {
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      if (src[i] == 0) continue;
-      // shift_ can escalate mid-loop; re-derive the down-shift each time.
-      const std::uint32_t down = other.shift_ - shift_;
-      add(negative,
-          (src_base + static_cast<std::int32_t>(i)) >> down, src[i]);
-    }
-  };
-  fold_in(other.counts_, other.base_, false);
-  fold_in(other.ncounts_, other.nbase_, true);
+  }
 }
 
-double QuantileSketch::representative(bool negative,
-                                      std::int32_t index) const {
+double QuantileSketch::representative(std::int32_t index) const {
   // Bucket midpoint, rebuilt from the index's bit pattern: within
-  // epsilon() * |value| of every sample the bucket holds.
+  // epsilon() * value of every sample the bucket holds.
   const std::uint64_t lo_bits = static_cast<std::uint64_t>(index)
                                 << (52U - shift_);
   const std::uint64_t hi_bits = static_cast<std::uint64_t>(index + 1)
@@ -168,8 +147,7 @@ double QuantileSketch::representative(bool negative,
   double hi = 0.0;
   std::memcpy(&lo, &lo_bits, sizeof lo);
   std::memcpy(&hi, &hi_bits, sizeof hi);
-  const double mid = lo + 0.5 * (hi - lo);
-  return negative ? -mid : mid;
+  return lo + 0.5 * (hi - lo);
 }
 
 double QuantileSketch::quantile(double q) const {
@@ -178,27 +156,17 @@ double QuantileSketch::quantile(double q) const {
   auto rank = static_cast<std::uint64_t>(
       std::ceil(q * static_cast<double>(n_)));
   rank = std::min(n_, std::max(std::uint64_t{1}, rank));
-  std::uint64_t cum = 0;
-  // Ascending value order: negative values from the most negative
-  // (highest |value| bucket of the mirror) up, then zeros, then
-  // positive values.
-  for (std::size_t i = ncounts_.size(); i-- > 0;) {
-    cum += ncounts_[i];
-    if (cum >= rank) {
-      return representative(true, nbase_ + static_cast<std::int32_t>(i));
-    }
-  }
-  cum += zero_;
+  // Ascending value order: zeros, then the buckets.
+  std::uint64_t cum = zero_;
   if (cum >= rank) return 0.0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     cum += counts_[i];
-    if (cum >= rank) {
-      return representative(false, base_ + static_cast<std::int32_t>(i));
-    }
+    if (cum >= rank)
+      return representative(base_ + static_cast<std::int32_t>(i));
   }
   // Unreachable for a consistent histogram (cum == n_ at the end).
-  return representative(
-      false, base_ + static_cast<std::int32_t>(counts_.size()) - 1);
+  return representative(base_ + static_cast<std::int32_t>(counts_.size()) -
+                        1);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,29 +1,13 @@
 #include "hcep/obs/trace.hpp"
 
-#include <array>
-#include <cinttypes>
-#include <cstdio>
-
+#include "format_double.hpp"
 #include "hcep/util/error.hpp"
 
 namespace hcep::obs {
 
-namespace {
+using detail::format_double;
 
-/// Shortest decimal form that parses back to exactly `v`: deterministic
-/// (replay comparison is byte-wise) and lossless (invariant checks
-/// re-integrate exported power samples).
-std::string format_double(double v) {
-  std::array<char, 32> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.17g", v);
-  double parsed = 0.0;
-  for (int precision = 1; precision <= 16; ++precision) {
-    std::snprintf(buf.data(), buf.size(), "%.*g", precision, v);
-    std::sscanf(buf.data(), "%lf", &parsed);
-    if (parsed == v) break;
-  }
-  return std::string(buf.data());
-}
+namespace {
 
 /// RFC 4180 field quoting: wrap in double quotes when the field contains
 /// a separator, quote or line break, doubling embedded quotes. Category

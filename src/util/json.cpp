@@ -1,6 +1,7 @@
 #include "hcep/util/json.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -361,14 +362,13 @@ void JsonValue::write(std::string& out, int indent, bool pretty) const {
       out += bool_ ? "true" : "false";
       return;
     case Kind::kNumber: {
+      // 12 significant digits, the bytes of "%.12g" without printf.
       char buf[40];
-      if (integral_) {
-        std::snprintf(buf, sizeof buf, "%lld",
-                      static_cast<long long>(int_number_));
-      } else {
-        std::snprintf(buf, sizeof buf, "%.12g", number_);
-      }
-      out += buf;
+      const std::to_chars_result r =
+          integral_ ? std::to_chars(buf, buf + sizeof buf, int_number_)
+                    : std::to_chars(buf, buf + sizeof buf, number_,
+                                    std::chars_format::general, 12);
+      out.append(buf, r.ptr);
       return;
     }
     case Kind::kString:

@@ -3,16 +3,14 @@
 // fixture tree; these tests pin the *layers* the rules stand on — the
 // tokenizer's comment/string/raw-string handling, the scope tracker's
 // brace classification, the analyzer's per-file and cross-file passes,
-// the SARIF export (re-parsed with the repo's own strict JSON parser),
-// and the result cache's hit/miss semantics.
+// and the SARIF export (re-parsed with the repo's own strict JSON
+// parser).
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "analyzer.hpp"
-#include "cache.hpp"
 #include "hcep/util/json.hpp"
 #include "lexer.hpp"
 #include "rules.hpp"
@@ -248,54 +246,6 @@ TEST(LintSarif, ParsesWithOwnJsonParserAndCoversCatalog) {
 
   // Byte-stable for identical input: reports diff cleanly in CI.
   EXPECT_EQ(doc, lint::to_sarif(findings));
-}
-
-// --- Cache -------------------------------------------------------------------
-
-TEST(LintCache, RoundTripAndInvalidation) {
-  const std::string path =
-      ::testing::TempDir() + "/hcep_lint_cache_test.txt";
-
-  lint::FileFacts facts;
-  facts.path = "src/a.cpp";
-  facts.includes = {"hcep/util/units.hpp"};
-  facts.uses_shard_markers = true;
-  facts.mutable_statics.push_back({7, "g_x"});
-  facts.findings.push_back({"src/a.cpp", 3, "banned-call", "msg\twith tab"});
-
-  lint::CacheKey key{100, 555, lint::fnv1a64("content")};
-  lint::ResultCache cache;
-  cache.store("src/a.cpp", key, facts);
-  ASSERT_TRUE(cache.save(path));
-
-  const lint::ResultCache loaded = lint::ResultCache::load(path);
-  ASSERT_EQ(loaded.entries(), 1u);
-
-  // mtime+size fast path.
-  auto hit = loaded.lookup("src/a.cpp", {100, 555, 0});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->includes, facts.includes);
-  EXPECT_TRUE(hit->uses_shard_markers);
-  ASSERT_EQ(hit->findings.size(), 1u);
-  EXPECT_EQ(hit->findings[0].message, "msg\twith tab");
-
-  // mtime changed, same content hash: still a hit.
-  EXPECT_TRUE(loaded.lookup("src/a.cpp", {100, 999, lint::fnv1a64("content")})
-                  .has_value());
-  // Content changed: miss.
-  EXPECT_FALSE(loaded.lookup("src/a.cpp", {100, 999, lint::fnv1a64("edited")})
-                   .has_value());
-  // Unknown file: miss.
-  EXPECT_FALSE(loaded.lookup("src/b.cpp", key).has_value());
-}
-
-TEST(LintCache, CorruptFileYieldsEmptyCache) {
-  const std::string path = ::testing::TempDir() + "/hcep_lint_cache_bad.txt";
-  {
-    std::ofstream out(path);
-    out << "not-a-cache\nfile\tx\t1\t2\t3\t0\n";
-  }
-  EXPECT_EQ(lint::ResultCache::load(path).entries(), 0u);
 }
 
 }  // namespace

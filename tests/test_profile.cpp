@@ -70,21 +70,25 @@ TEST(TraceDecode, JsonlRoundTripPreservesEventsExactly) {
   const obs::StringId name = tracer.intern("na\nme");
   const obs::StringId key = tracer.intern("wait_s");
   tracer.begin(0.25, cat, name, key, 1.0 / 3.0);
+  // 0.30000000000000004 parses back exactly only at 17 digits.
+  tracer.counter(0.1 + 0.2, cat, name, 0.1 + 0.2);
   tracer.counter(0.5, cat, name, 123.456789012345);
   tracer.instant(0.75, cat, name);
   tracer.end(1.0, cat, name);
 
   const obs::Trace t = obs::read_trace_jsonl(tracer.jsonl());
-  ASSERT_EQ(t.events.size(), 4u);
+  ASSERT_EQ(t.events.size(), 5u);
   EXPECT_EQ(t.string_at(t.events[0].category), "c\"at\\");
   EXPECT_EQ(t.string_at(t.events[0].name), "na\nme");
   EXPECT_EQ(t.string_at(t.events[0].arg_key), "wait_s");
   EXPECT_EQ(t.events[0].arg_value, 1.0 / 3.0);  // byte-exact round trip
-  EXPECT_EQ(t.events[1].type, obs::EventType::kCounter);
-  EXPECT_EQ(t.events[1].arg_key, obs::EventTracer::kNoArg);
-  EXPECT_EQ(t.events[1].arg_value, 123.456789012345);
-  EXPECT_EQ(t.events[2].type, obs::EventType::kInstant);
-  EXPECT_EQ(t.events[3].type, obs::EventType::kEnd);
+  EXPECT_EQ(t.events[1].ts, 0.1 + 0.2);
+  EXPECT_EQ(t.events[1].arg_value, 0.1 + 0.2);
+  EXPECT_EQ(t.events[2].type, obs::EventType::kCounter);
+  EXPECT_EQ(t.events[2].arg_key, obs::EventTracer::kNoArg);
+  EXPECT_EQ(t.events[2].arg_value, 123.456789012345);
+  EXPECT_EQ(t.events[3].type, obs::EventType::kInstant);
+  EXPECT_EQ(t.events[4].type, obs::EventType::kEnd);
 }
 
 TEST(TraceDecode, MalformedJsonlNamesTheLine) {

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -65,17 +66,21 @@ TEST(QuantileSketch, EmptyAndSingleValue) {
 }
 
 TEST(QuantileSketch, ZeroAndSignHandling) {
-  // Zero has its own exact bucket; negative values live in a mirrored
-  // histogram, so quantiles ascend correctly across the sign change.
+  // Zero has its own exact bucket (-0.0 included); a negative or NaN
+  // value is rejected and leaves the sketch as it was.
   QuantileSketch sk{0.01};
-  for (const double v : {-8.0, -1.0, 0.0, 0.0, 2.0, 4.0, 16.0}) sk.insert(v);
+  for (const double v : {0.0, -0.0, 2.0, 4.0, 16.0}) sk.insert(v);
+  EXPECT_THROW(sk.insert(-1.0), PreconditionError);
+  EXPECT_THROW(sk.insert(std::nan("")), PreconditionError);
+  EXPECT_THROW(sk.insert(-std::numeric_limits<double>::min()),
+               PreconditionError);
+  EXPECT_EQ(sk.count(), 5u);
   const double eps = sk.epsilon();
-  EXPECT_NEAR(sk.quantile(0.0), -8.0, eps * 8.0);
-  EXPECT_NEAR(sk.quantile(2.0 / 7.0), -1.0, eps * 1.0);
-  EXPECT_DOUBLE_EQ(sk.quantile(4.0 / 7.0), 0.0);  // zeros are exact
-  EXPECT_NEAR(sk.quantile(5.0 / 7.0), 2.0, eps * 2.0);
+  EXPECT_DOUBLE_EQ(sk.quantile(0.0), 0.0);  // zeros are exact
+  EXPECT_DOUBLE_EQ(sk.quantile(2.0 / 5.0), 0.0);
+  EXPECT_NEAR(sk.quantile(3.0 / 5.0), 2.0, eps * 2.0);
   EXPECT_NEAR(sk.quantile(1.0), 16.0, eps * 16.0);
-  // Monotone in q even across the sign regions.
+  // Monotone in q across the zero bucket.
   double prev = sk.quantile(0.0);
   for (double q = 0.05; q <= 1.0; q += 0.05) {
     const double cur = sk.quantile(q);

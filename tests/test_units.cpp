@@ -5,6 +5,7 @@
 // by the compile-fail harness under tests/compile_fail/ (ctest -L lint).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <vector>
@@ -212,8 +213,12 @@ TEST(Units, TypedIntegrationIsNotPessimized) {
   // dispatch, allocation, missed inlining): the typed power-integration
   // loop must stay within 8x of the raw-double loop even under CI noise.
   // A finer bound would flake: typed and raw twins read 0.5 to 1.2x of
-  // each other between runs on a shared 4-vCPU host.
+  // each other between runs on a shared 4-vCPU host. Raw and typed
+  // passes alternate for several rounds and the fastest of each side is
+  // compared, so a one-off stall of one pass (a suite starting beside
+  // this one under `ctest -j`) cannot decide the verdict.
   constexpr std::size_t kN = 1 << 16;
+  constexpr int kRounds = 7;
   std::vector<double> raw_p(kN), raw_t(kN);
   for (std::size_t i = 0; i < kN; ++i) {
     raw_p[i] = 5.0 + static_cast<double>(i % 97);
@@ -224,21 +229,26 @@ TEST(Units, TypedIntegrationIsNotPessimized) {
       *reinterpret_cast<std::vector<Seconds>*>(&raw_t);
 
   using clock = std::chrono::steady_clock;
-  double raw_sum = 0.0;
-  const auto t0 = clock::now();
-  for (int rep = 0; rep < 64; ++rep)
-    for (std::size_t i = 0; i < kN; ++i) raw_sum += raw_p[i] * raw_t[i];
-  const auto t1 = clock::now();
-  Joules typed_sum{};
-  for (int rep = 0; rep < 64; ++rep)
-    for (std::size_t i = 0; i < kN; ++i) typed_sum += tp[i] * tt[i];
-  const auto t2 = clock::now();
+  auto raw_ns = std::chrono::nanoseconds::max();
+  auto typed_ns = std::chrono::nanoseconds::max();
+  for (int round = 0; round < kRounds; ++round) {
+    double raw_sum = 0.0;
+    const auto t0 = clock::now();
+    for (int rep = 0; rep < 64; ++rep)
+      for (std::size_t i = 0; i < kN; ++i) raw_sum += raw_p[i] * raw_t[i];
+    const auto t1 = clock::now();
+    Joules typed_sum{};
+    for (int rep = 0; rep < 64; ++rep)
+      for (std::size_t i = 0; i < kN; ++i) typed_sum += tp[i] * tt[i];
+    const auto t2 = clock::now();
 
-  EXPECT_DOUBLE_EQ(typed_sum.value(), raw_sum);
-  const auto raw_ns = std::chrono::nanoseconds(t1 - t0).count();
-  const auto typed_ns = std::chrono::nanoseconds(t2 - t1).count();
-  EXPECT_LT(typed_ns, raw_ns * 8 + 1000000)
-      << "typed " << typed_ns << " ns vs raw " << raw_ns << " ns";
+    EXPECT_DOUBLE_EQ(typed_sum.value(), raw_sum);
+    raw_ns = std::min(raw_ns, std::chrono::nanoseconds(t1 - t0));
+    typed_ns = std::min(typed_ns, std::chrono::nanoseconds(t2 - t1));
+  }
+  EXPECT_LT(typed_ns.count(), raw_ns.count() * 8 + 1000000)
+      << "fastest typed " << typed_ns.count() << " ns vs fastest raw "
+      << raw_ns.count() << " ns over " << kRounds << " rounds";
 }
 
 // ---------------------------------- energy re-integration regression

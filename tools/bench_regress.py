@@ -17,24 +17,22 @@ DES kernel alone), so a regression in the slow row pushes the ratio up.
 A pair whose rows can each regress is bounded on both sides.
 
 Suites: ``sweep`` (perf_enumeration + perf_pareto, the default),
-``traffic`` (perf_traffic), ``des`` (perf_des) and ``lint`` (cold and
-warm full-tree scans with the hcep_lint analyzer, timed here; the warm
-scan hits the result cache). ``--smoke`` runs only the gated rows, each
-for a shorter time, for ctest; a full run also records every other row
-of the suite's binaries. Both gate the same pairs, and a gated row
-missing from a run is a setup error. The control, streaming and
-federation overheads are ratios that ``bench/hcep_bench`` reports.
+``traffic`` (perf_traffic) and ``des`` (perf_des), all google-benchmark
+binaries. ``--smoke`` runs only the gated rows, each for a shorter time,
+for ctest; a full run also records every other row of the suite's
+binaries. Both gate the same pairs, and a gated row missing from a run
+is a setup error. The control, streaming and federation overheads are
+ratios that ``bench/hcep_bench`` reports.
 
 Each row runs three times, google-benchmark's repetitions interleaved
-at random with the other rows' (hcep_lint alternates nothing: three cold
-scans, then three warm ones), and keeps its best throughput, so a host
+at random with the other rows', and keeps its best throughput, so a host
 slowdown of a few seconds hits both sides of a ratio or neither.
 google-benchmark's default CPU timer measures the main benchmark thread
 only, so every gated row is serial or wall-clock (``UseRealTime()``,
 named ``.../real_time``).
 
 Usage:
-  tools/bench_regress.py [--suite sweep|traffic|des|lint] [--build-dir build]
+  tools/bench_regress.py [--suite sweep|traffic|des] [--build-dir build]
                          [--output build/BENCH_<suite>.json] [--smoke]
 
 Exit status: 0 when every gate holds, 1 when one does not, 2 on a setup
@@ -44,10 +42,8 @@ error (a missing binary or row).
 import argparse
 import json
 import os
-import re
 import subprocess
 import sys
-import time
 
 REPETITIONS = 3
 
@@ -109,47 +105,7 @@ SUITES = {
              "min_ratio": 2.5},
         ],
     },
-    "lint": {
-        "binaries": ["tools/lint/hcep_lint"],
-        "ratios": [
-            # The result cache: a warm scan only stats and hashes files.
-            # The ratio falls to about 1 when the cache stops hitting and
-            # rises when the cold scan slows.
-            {"fast": "LintScanWarm", "slow": "LintScanCold",
-             "min_ratio": 2.0, "max_ratio": 25.0},
-        ],
-    },
 }
-
-
-def run_lint_scans(binary, build_dir, repo_root):
-    """Best wall clock of cold (empty cache) and warm full-tree scans, as
-    rows shaped like google-benchmark's: files/second in
-    ``items_per_second``, seconds in ``real_time``."""
-    cache = os.path.join(build_dir, "hcep_lint_bench_cache.txt")
-
-    def scan():
-        start = time.perf_counter()
-        out = subprocess.run(
-            [binary, "--root", repo_root, "--cache", cache],
-            capture_output=True, text=True).stdout
-        elapsed = time.perf_counter() - start
-        m = re.search(r"scanned (\d+) file", out)
-        return elapsed, int(m.group(1)) if m else 0
-
-    def row(samples):
-        best, files = min(samples, key=lambda r: r[0])
-        return {"items_per_second": files / best if best > 0 else None,
-                "real_time": best, "cpu_time": best, "time_unit": "s"}
-
-    cold = []
-    for _ in range(REPETITIONS):
-        if os.path.exists(cache):
-            os.remove(cache)
-        cold.append(scan())
-    scan()  # prime: the last cold scan's cache now covers the tree
-    warm = [scan() for _ in range(REPETITIONS)]
-    return {"LintScanCold": row(cold), "LintScanWarm": row(warm)}
 
 
 def run_benchmark(binary, smoke, names):
@@ -190,7 +146,6 @@ def main():
     args = ap.parse_args()
 
     suite = SUITES[args.suite]
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     output_path = args.output or os.path.join(args.build_dir,
                                               f"BENCH_{args.suite}.json")
     names = {g[side] for g in suite["ratios"] for side in ("fast", "slow")}
@@ -201,10 +156,7 @@ def main():
         if not os.path.exists(path):
             print(f"bench_regress: missing binary {path}", file=sys.stderr)
             return 2
-        if os.path.basename(path) == "hcep_lint":
-            measured.update(run_lint_scans(path, args.build_dir, repo_root))
-        else:
-            measured.update(run_benchmark(path, args.smoke, names))
+        measured.update(run_benchmark(path, args.smoke, names))
 
     os.makedirs(os.path.dirname(os.path.abspath(output_path)), exist_ok=True)
     with open(output_path, "w") as f:

@@ -3,7 +3,7 @@
 //
 // Pipeline (see docs/STATIC_ANALYSIS.md §2):
 //   lex() -> track_scopes() -> per-file symbol collection + file-local
-//   rules -> FileFacts                          (analyze_source, cacheable)
+//   rules -> FileFacts                          (analyze_source)
 //   all FileFacts -> include graph -> shard-reachable set ->
 //   shared-mutable-static findings              (project_findings)
 #pragma once

@@ -1,13 +1,10 @@
-// hcep-lint per-file facts: everything the cross-file passes and the
-// result cache need to know about one translation unit.
+// hcep-lint per-file facts: everything the cross-file pass needs to know
+// about one translation unit.
 //
-// The per-file pass (analyzer.cpp) is the expensive part — tokenize,
-// track scopes, collect symbols, run the file-local rules. Its complete
-// output is this struct, which is (a) serializable, so the mtime+hash
-// cache can skip unchanged files across runs, and (b) sufficient input
-// for the project pass (include graph, shard reachability), so cached
-// files never need re-tokenizing even when the cross-file answer
-// changes.
+// The per-file pass (analyzer.cpp) tokenizes, tracks scopes, collects
+// symbols and runs the file-local rules. Its complete output is this
+// struct, which is also the whole input of the project pass (include
+// graph, shard reachability): no file is tokenized twice.
 #pragma once
 
 #include <cstddef>

@@ -13,14 +13,13 @@
 //
 // Rule catalog lives in rules.hpp (one SARIF descriptor per rule).
 // Findings emit as text (stdout) and optionally SARIF 2.1.0 (--sarif)
-// for CI PR annotation. A checked-in baseline (--baseline) supports
-// ratcheting: only findings beyond the baselined count fail the scan.
-// A per-file mtime+hash cache (--cache) keeps the full-tree scan fast
-// enough to stay a default `lint`-label ctest.
+// for CI PR annotation. Every run analyzes all of <root>/src from
+// scratch and keeps no state between runs; any finding fails the scan.
 //
 // Suppress a finding by appending
 //   // hcep-lint: allow(<rule>)
-// to the offending line (grep-able, reviewed like any other annotation).
+// to the offending line (grep-able, reviewed like any other annotation);
+// this per-line suppression is the only way to accept a finding.
 //
 // Exit status: 0 clean, 1 findings, 2 usage/IO error.
 // `--selftest <fixture-root>` scans a tree seeded with one-or-more live
@@ -28,7 +27,6 @@
 // rule fires exactly its expected count — the proof that a planted bug
 // actually fails the build and that suppressions actually silence.
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -38,7 +36,6 @@
 #include <vector>
 
 #include "analyzer.hpp"
-#include "cache.hpp"
 #include "rules.hpp"
 #include "sarif.hpp"
 
@@ -50,17 +47,13 @@ namespace {
 struct Options {
   fs::path root;
   fs::path sarif_path;
-  fs::path baseline_path;
-  fs::path cache_path;
   bool selftest = false;
-  bool update_baseline = false;
   bool list_rules = false;
 };
 
 struct ScanResult {
   std::vector<Finding> findings;
   std::size_t files_scanned = 0;
-  std::size_t cache_hits = 0;
 };
 
 bool has_ext(const fs::path& p, std::initializer_list<const char*> exts) {
@@ -77,8 +70,8 @@ std::string read_file(const fs::path& p) {
   return std::move(ss).str();
 }
 
-/// Scans <root>/src, using (and updating) the cache when one is given.
-ScanResult scan_tree(const fs::path& root, ResultCache* cache) {
+/// Scans <root>/src.
+ScanResult scan_tree(const fs::path& root) {
   const fs::path src = root / "src";
   if (!fs::exists(src)) {
     std::cerr << "hcep-lint: no src/ under " << root << "\n";
@@ -95,38 +88,10 @@ ScanResult scan_tree(const fs::path& root, ResultCache* cache) {
   ScanResult result;
   std::vector<FileFacts> facts;
   facts.reserve(files.size());
-  for (const auto& f : files) {
-    const std::string rel = fs::relative(f, root).generic_string();
-    CacheKey key;
-    key.size = static_cast<std::uint64_t>(fs::file_size(f));
-    key.mtime_ns = static_cast<std::int64_t>(
-        fs::last_write_time(f).time_since_epoch().count());
-    bool hit = false;
-    if (cache != nullptr) {
-      // mtime+size fast path first; on miss, hash the content before
-      // giving up (checkouts and touch(1) change mtime, not bytes).
-      if (auto cached = cache->lookup(rel, key)) {
-        facts.push_back(std::move(*cached));
-        hit = true;
-      } else {
-        const std::string text = read_file(f);
-        key.content_hash = fnv1a64(text);
-        if (auto rehashed = cache->lookup(rel, key)) {
-          cache->store(rel, key, *rehashed);  // refresh mtime
-          facts.push_back(std::move(*rehashed));
-          hit = true;
-        } else {
-          FileFacts ff = analyze_source(text, rel);
-          cache->store(rel, key, ff);
-          facts.push_back(std::move(ff));
-        }
-      }
-    } else {
-      facts.push_back(analyze_source(read_file(f), rel));
-    }
-    result.cache_hits += hit ? 1 : 0;
-    ++result.files_scanned;
-  }
+  for (const auto& f : files)
+    facts.push_back(
+        analyze_source(read_file(f), fs::relative(f, root).generic_string()));
+  result.files_scanned = files.size();
 
   for (const auto& ff : facts)
     result.findings.insert(result.findings.end(), ff.findings.begin(),
@@ -140,42 +105,6 @@ ScanResult scan_tree(const fs::path& root, ResultCache* cache) {
               return a.rule < b.rule;
             });
   return result;
-}
-
-// --- Baseline (ratcheting) ---------------------------------------------------
-
-using BaselineCounts = std::map<std::pair<std::string, std::string>, long>;
-
-BaselineCounts load_baseline(const fs::path& path) {
-  BaselineCounts counts;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::string rule, file;
-    long count = 0;
-    if (ss >> rule >> file >> count) counts[{rule, file}] = count;
-  }
-  return counts;
-}
-
-BaselineCounts count_findings(const std::vector<Finding>& findings) {
-  BaselineCounts counts;
-  for (const auto& f : findings) ++counts[{f.rule, f.file}];
-  return counts;
-}
-
-bool write_baseline(const fs::path& path, const BaselineCounts& counts) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << "# hcep-lint baseline: accepted findings per (rule, file).\n"
-      << "# A scan fails only on findings beyond these counts; shrink a\n"
-      << "# count (or delete a line) as findings are fixed — the ratchet\n"
-      << "# only turns one way. Regenerate with --update-baseline.\n";
-  for (const auto& [key, count] : counts)
-    out << key.first << " " << key.second << " " << count << "\n";
-  return static_cast<bool>(out);
 }
 
 // --- Reporting ---------------------------------------------------------------
@@ -193,69 +122,22 @@ int report(const ScanResult& scan, const Options& opt) {
     }
   }
 
-  BaselineCounts baseline;
-  if (!opt.baseline_path.empty() && !opt.update_baseline)
-    baseline = load_baseline(opt.baseline_path);
-
-  // Findings beyond the baselined per-(rule,file) count are "new".
-  BaselineCounts seen;
-  std::vector<const Finding*> fresh;
-  std::size_t baselined = 0;
-  for (const auto& f : findings) {
-    const long allowed = [&] {
-      const auto it = baseline.find({f.rule, f.file});
-      return it == baseline.end() ? 0L : it->second;
-    }();
-    if (++seen[{f.rule, f.file}] > allowed) fresh.push_back(&f);
-    else ++baselined;
-  }
-
-  for (const Finding* f : fresh)
-    std::cout << f->file << ":" << f->line << ": [" << f->rule << "] "
-              << f->message << "\n";
-
-  // Stale baseline entries (counts above reality) are ratchet slack:
-  // report them so they get tightened, but do not fail the build.
-  std::size_t stale = 0;
-  for (const auto& [key, allowed] : baseline) {
-    const auto it = seen.find(key);
-    const long actual = it == seen.end() ? 0 : it->second;
-    if (actual < allowed) {
-      std::cout << "hcep-lint: baseline entry `" << key.first << " "
-                << key.second << "` allows " << allowed << " but only "
-                << actual << " remain — ratchet it down\n";
-      ++stale;
-    }
-  }
-
-  std::cout << "hcep-lint: scanned " << scan.files_scanned << " file(s), "
-            << scan.cache_hits << " cache hit(s)\n";
-  if (opt.update_baseline) {
-    if (!write_baseline(opt.baseline_path, count_findings(findings))) {
-      std::cerr << "hcep-lint: cannot write baseline " << opt.baseline_path
-                << "\n";
-      return 2;
-    }
-    std::cout << "hcep-lint: baseline updated (" << findings.size()
-              << " finding(s) accepted)\n";
+  for (const auto& f : findings)
+    std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
+              << f.message << "\n";
+  std::cout << "hcep-lint: scanned " << scan.files_scanned << " file(s)\n";
+  if (findings.empty()) {
+    std::cout << "hcep-lint: clean\n";
     return 0;
   }
-  if (fresh.empty()) {
-    std::cout << "hcep-lint: clean";
-    if (baselined > 0) std::cout << " (" << baselined << " baselined)";
-    std::cout << "\n";
-    return 0;
-  }
-  std::cout << "hcep-lint: " << fresh.size() << " new finding(s)";
-  if (baselined > 0) std::cout << " (+" << baselined << " baselined)";
-  std::cout << "\n";
+  std::cout << "hcep-lint: " << findings.size() << " finding(s)\n";
   return 1;
 }
 
 // --- Selftest ----------------------------------------------------------------
 
 int selftest(const fs::path& fixtures) {
-  const ScanResult scan = scan_tree(fixtures, nullptr);
+  const ScanResult scan = scan_tree(fixtures);
   // Per-rule seeded-violation counts. Every rule in the catalog must
   // appear here with a nonzero count, and every fixture plants a
   // suppressed twin next to each live violation, so an off-count in
@@ -328,19 +210,11 @@ int run(int argc, char** argv) {
       opt.root = value("--selftest");
     } else if (arg == "--sarif") {
       opt.sarif_path = value("--sarif");
-    } else if (arg == "--baseline") {
-      opt.baseline_path = value("--baseline");
-    } else if (arg == "--update-baseline") {
-      opt.update_baseline = true;
-    } else if (arg == "--cache") {
-      opt.cache_path = value("--cache");
     } else if (arg == "--list-rules") {
       opt.list_rules = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout
           << "usage: hcep-lint --root <repo> [--sarif out.sarif]\n"
-          << "                 [--baseline file [--update-baseline]]\n"
-          << "                 [--cache file]\n"
           << "       hcep-lint --selftest <fixtures>\n"
           << "       hcep-lint --list-rules\n";
       return 0;
@@ -358,21 +232,8 @@ int run(int argc, char** argv) {
     std::cerr << "hcep-lint: --root is required\n";
     return 2;
   }
-  if (opt.update_baseline && opt.baseline_path.empty()) {
-    std::cerr << "hcep-lint: --update-baseline requires --baseline\n";
-    return 2;
-  }
   if (opt.selftest) return selftest(opt.root);
-
-  if (!opt.cache_path.empty()) {
-    ResultCache cache = ResultCache::load(opt.cache_path.string());
-    const ScanResult scan = scan_tree(opt.root, &cache);
-    if (!cache.save(opt.cache_path.string()))
-      std::cerr << "hcep-lint: warning: cannot write cache "
-                << opt.cache_path << "\n";
-    return report(scan, opt);
-  }
-  return report(scan_tree(opt.root, nullptr), opt);
+  return report(scan_tree(opt.root), opt);
 }
 
 }  // namespace
