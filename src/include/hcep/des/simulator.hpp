@@ -149,9 +149,6 @@ class BasicSimulator {
     }
   }
 
-  /// Time of the next pending event (precondition: !empty()).
-  [[nodiscard]] Seconds next_event_time() { return queue_.peek_time(); }
-
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
   [[nodiscard]] bool empty() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }

@@ -90,11 +90,6 @@ class GlobalRouter {
     return log_;
   }
 
-  /// Requests currently inside the sliding load window at `site`.
-  [[nodiscard]] std::size_t window_load(std::size_t site) const {
-    return recent_[site].size();
-  }
-
  private:
   /// One placement in the sliding window: routing instant plus the
   /// request's expected work, normalized to site capacity (class-aware:

@@ -16,7 +16,4 @@ namespace hcep::kernels {
 /// hcep::PreconditionError for unknown names.
 [[nodiscard]] KernelPtr make_kernel(const std::string& name);
 
-/// All six kernels in paper order.
-[[nodiscard]] std::vector<KernelPtr> make_all_kernels();
-
 }  // namespace hcep::kernels

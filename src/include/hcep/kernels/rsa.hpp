@@ -56,7 +56,6 @@ class ModContext {
 
   [[nodiscard]] std::uint64_t limb_mul_ops() const { return limb_mul_ops_; }
   [[nodiscard]] std::uint64_t limb_add_ops() const { return limb_add_ops_; }
-  void reset_counters();
 
  private:
   UInt2048 modulus_;

@@ -177,11 +177,12 @@ struct TrafficResult {
 
 /// Simulates `options.requests` arrivals drawn from `arrivals` (cloned;
 /// the passed process is not mutated) through admission, dispatch and
-/// execution. Deterministic for a fixed seed. Instrumented through
-/// hcep::obs: request spans carry `wait_s` begin args (so the trace
-/// profiler's queue decomposition applies), `traffic.*` counters ledger
-/// every admission outcome, and a `traffic_inflight` counter track
-/// records the in-system population over time.
+/// execution. Deterministic for a fixed seed. The result is the run's
+/// ledger; an installed hcep::obs observer gets a copy of its counts
+/// once, after the shards merge: `traffic.offered`, `admitted`, `shed`,
+/// `retries`, `completed` and `failed`, plus `control.ticks`, `sleeps`,
+/// `wakes` and `point_changes` for a controlled run. The engine records
+/// no trace events; the DES kernel adds its `des.*` metrics.
 [[nodiscard]] TrafficResult simulate_traffic(
     const model::ClusterSpec& cluster,
     const std::vector<TrafficClass>& classes, const ArrivalProcess& arrivals,

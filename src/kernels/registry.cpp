@@ -24,10 +24,4 @@ KernelPtr make_kernel(const std::string& name) {
   throw PreconditionError("make_kernel: unknown program '" + name + "'");
 }
 
-std::vector<KernelPtr> make_all_kernels() {
-  std::vector<KernelPtr> out;
-  for (const auto& name : kernel_names()) out.push_back(make_kernel(name));
-  return out;
-}
-
 }  // namespace hcep::kernels

@@ -198,11 +198,6 @@ UInt2048 ModContext::pow_f4(const UInt2048& a) {
   return mul_mod(acc, a);
 }
 
-void ModContext::reset_counters() {
-  limb_mul_ops_ = 0;
-  limb_add_ops_ = 0;
-}
-
 KernelResult RsaKernel::run(std::uint64_t units, Rng& rng) {
   Rng local = rng.split(2);
 

@@ -150,6 +150,11 @@ class Replay final : public ArrivalProcess {
   Replay(std::vector<Seconds> arrivals, bool loop)
       : arrivals_(std::move(arrivals)), loop_(loop) {
     require(!arrivals_.empty(), "make_replay: empty arrival trace");
+    for (std::size_t k = 0; k < arrivals_.size(); ++k) {
+      if (!std::isfinite(arrivals_[k].value()))
+        throw PreconditionError("make_replay: arrival " + std::to_string(k) +
+                                ": non-finite timestamp");
+    }
     require(std::is_sorted(arrivals_.begin(), arrivals_.end()),
             "make_replay: arrivals must be sorted ascending");
     require(arrivals_.front().value() >= 0.0,
@@ -260,6 +265,10 @@ std::vector<Seconds> read_arrivals_csv(std::string_view text) {
                               std::to_string(lineno) +
                               ": non-numeric timestamp '" + first + "'");
     }
+    if (!std::isfinite(ts))
+      throw PreconditionError("read_arrivals_csv: line " +
+                              std::to_string(lineno) +
+                              ": non-finite timestamp");
     require(ts >= 0.0, "read_arrivals_csv: line " + std::to_string(lineno) +
                            ": negative timestamp");
     out.push_back(Seconds{ts});

@@ -348,8 +348,7 @@ class Engine final : public control::Actuator {
   Engine(des::Simulator& sim, const std::vector<TrafficClass>& classes,
          const std::vector<double>& cumulative,
          const TrafficOptions& options, const std::vector<TypeTable>& tables,
-         std::uint64_t request_budget, Rng rng, bool tracing,
-         std::uint32_t shard_index)
+         std::uint64_t request_budget, Rng rng, std::uint32_t shard_index)
       : sim_(sim),
         classes_(classes),
         cumulative_(cumulative),
@@ -358,7 +357,6 @@ class Engine final : public control::Actuator {
         nodes_(shard_nodes(tables, shard_index, options.shards)),
         request_budget_(request_budget),
         rng_(rng),
-        tracing_(tracing),
         per_class_(classes.size()),
         dispatchable_(nodes_.size()),
         shard_index_(shard_index),
@@ -370,25 +368,6 @@ class Engine final : public control::Actuator {
           std::max(1.0, options.admission.bucket_burst / split));
     }
     if (options.record_requests) records_.reserve(request_budget);
-    o_ = obs::current();
-    if (o_ != nullptr) {
-      offered_m_ = o_->metrics.counter("traffic.offered");
-      admitted_m_ = o_->metrics.counter("traffic.admitted");
-      shed_m_ = o_->metrics.counter("traffic.shed");
-      retries_m_ = o_->metrics.counter("traffic.retries");
-      completed_m_ = o_->metrics.counter("traffic.completed");
-      failed_m_ = o_->metrics.counter("traffic.failed");
-      sojourn_m_ = o_->metrics.histogram(
-          "traffic.sojourn_s", {0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-                                0.25, 0.5, 1.0, 2.5, 5.0, 10.0});
-      cat_s_ = o_->tracer.intern("traffic");
-      request_s_ = o_->tracer.intern("request");
-      wait_key_s_ = o_->tracer.intern("wait_s");
-      inflight_s_ = o_->tracer.intern("traffic_inflight");
-      shed_cat_s_ = o_->tracer.intern("shed");
-      bucket_s_ = o_->tracer.intern("bucket");
-      queue_s_ = o_->tracer.intern("queue_depth");
-    }
     if (options_.control.enabled()) {
       copts_ = &options_.control;
       // Each shard's controller clone governs its node slice against a
@@ -398,18 +377,6 @@ class Engine final : public control::Actuator {
       controller_ = copts_->controller->clone();
       window_shed_.assign(classes.size(), 0);
       window_sojourns_.resize(classes.size());
-      if (o_ != nullptr) {
-        ctrl_ticks_m_ = o_->metrics.counter("control.ticks");
-        ctrl_sleeps_m_ = o_->metrics.counter("control.sleeps");
-        ctrl_wakes_m_ = o_->metrics.counter("control.wakes");
-        ctrl_points_m_ = o_->metrics.counter("control.point_changes");
-        ctrl_active_g_ = o_->metrics.gauge("control.active_nodes");
-        ctrl_power_g_ = o_->metrics.gauge("control.worst_case_power_w");
-        ctrl_cat_s_ = o_->tracer.intern("control");
-        tick_s_ = o_->tracer.intern("tick");
-        active_track_s_ = o_->tracer.intern("control_active_nodes");
-        power_track_s_ = o_->tracer.intern("control_rack_power_w");
-      }
     }
     // Streaming telemetry: a per-shard Collector fed by the event hooks
     // below. Purely observational (no RNG draws, no DES events), so the
@@ -588,17 +555,8 @@ class Engine final : public control::Actuator {
     req.first_arrival = sim_.now();
     ++per_class_[cls].offered;
     ++inflight_;
-    if (o_ != nullptr) o_->metrics.add(offered_m_);
     if (stream_ != nullptr) stream_->on_arrival(sim_.now());
-    note_inflight();
     attempt(req);
-  }
-
-  void note_inflight() {
-    if (o_ != nullptr && tracing_) {
-      o_->tracer.counter(sim_.now().value(), cat_s_, inflight_s_,
-                         static_cast<double>(inflight_));
-    }
   }
 
   // --------------------------------------------------------------- control
@@ -724,22 +682,7 @@ class Engine final : public control::Actuator {
     const std::uint64_t wakes0 = csum_.wakes;
     const std::uint64_t points0 = csum_.point_changes;
 
-    if (o_ != nullptr) {
-      o_->metrics.add(ctrl_ticks_m_);
-      if (tracing_) o_->tracer.begin(now.value(), ctrl_cat_s_, tick_s_);
-    }
     controller_->tick(ctx, *this);
-    if (o_ != nullptr) {
-      o_->metrics.set(ctrl_active_g_, static_cast<double>(dispatchable_));
-      o_->metrics.set(ctrl_power_g_, worst.value());
-      if (tracing_) {
-        o_->tracer.counter(now.value(), ctrl_cat_s_, active_track_s_,
-                           static_cast<double>(dispatchable_));
-        o_->tracer.counter(now.value(), ctrl_cat_s_, power_track_s_,
-                           worst.value());
-        o_->tracer.end(now.value(), ctrl_cat_s_, tick_s_);
-      }
-    }
     obs::stream::DecisionRecord rec;
     rec.tick = csum_.ticks;
     rec.shard = shard_index_;
@@ -828,7 +771,6 @@ class Engine final : public control::Actuator {
     const Seconds now = sim_.now();
     --dispatchable_;
     ++csum_.sleeps;
-    if (o_ != nullptr) o_->metrics.add(ctrl_sleeps_m_);
     if (n.queued == 0 && n.free_at <= now) {
       n.pstate = control::PowerState::kSleeping;
       n.sleep_since = now;
@@ -858,7 +800,6 @@ class Engine final : public control::Actuator {
       note_power(now, idle(n) - copts_->sleep_power);
       csum_.wake_energy += copts_->wake_energy;
       ++csum_.wakes;
-      if (o_ != nullptr) o_->metrics.add(ctrl_wakes_m_);
       if (stream_ != nullptr) {
         stream_->on_floor_delta(n.type, now, idle(n) - copts_->sleep_power);
         stream_->on_wake_energy(n.type, now, copts_->wake_energy);
@@ -886,7 +827,6 @@ class Engine final : public control::Actuator {
     n.service = t.service_row(p);
     n.dynamic = t.dynamic_row(p);
     ++csum_.point_changes;
-    if (o_ != nullptr) o_->metrics.add(ctrl_points_m_);
     return true;
   }
 
@@ -928,11 +868,6 @@ class Engine final : public control::Actuator {
       ++shed_bucket;
       ++per_class_[req.cls].shed;
       if (copts_ != nullptr) ++window_shed_[req.cls];
-      if (o_ != nullptr) {
-        o_->metrics.add(shed_m_);
-        if (tracing_)
-          o_->tracer.instant(now.value(), shed_cat_s_, bucket_s_);
-      }
       if (stream_ != nullptr) stream_->on_shed(now);
       reject(req);
       return;
@@ -946,11 +881,6 @@ class Engine final : public control::Actuator {
       if (copts_ != nullptr) {
         ++window_shed_[req.cls];
         request_event_tick();  // queue shed = congestion signal
-      }
-      if (o_ != nullptr) {
-        o_->metrics.add(shed_m_);
-        if (tracing_)
-          o_->tracer.instant(now.value(), shed_cat_s_, queue_s_);
       }
       if (stream_ != nullptr) stream_->on_shed(now);
       reject(req);
@@ -972,12 +902,6 @@ class Engine final : public control::Actuator {
     }
     if (stream_ != nullptr)
       stream_->on_dispatch(n.type, now, start, done, n.dynamic[req.cls]);
-    if (o_ != nullptr) {
-      o_->metrics.add(admitted_m_);
-      if (tracing_)
-        o_->tracer.begin(start.value(), cat_s_, request_s_, wait_key_s_,
-                         wait.value());
-    }
     // The kernel hot path: {Engine*, node, point, Request, Seconds} is
     // exactly des::Callback's 48-byte inline budget — no allocation per
     // event. The point fixes the request's terms at dispatch.
@@ -990,7 +914,6 @@ class Engine final : public control::Actuator {
   void reject(Request req) {
     if (req.attempt < options_.retry.max_attempts) {
       ++per_class_[req.cls].retries;
-      if (o_ != nullptr) o_->metrics.add(retries_m_);
       const Seconds delay = options_.retry.backoff_after(req.attempt);
       ++req.attempt;
       auto cb = [this, req]() { attempt(req); };
@@ -1003,8 +926,6 @@ class Engine final : public control::Actuator {
       if (options_.record_requests)
         record(RequestRecord{req.index, req.cls, 1,
                              sim_.now() - req.first_arrival});
-      if (o_ != nullptr) o_->metrics.add(failed_m_);
-      note_inflight();
     }
   }
 
@@ -1062,12 +983,6 @@ class Engine final : public control::Actuator {
         }
       }
     }
-    if (o_ != nullptr) {
-      if (tracing_) o_->tracer.end(sim_.now().value(), cat_s_, request_s_);
-      o_->metrics.add(completed_m_);
-      o_->metrics.observe(sojourn_m_, sojourn.value());
-    }
-    note_inflight();
   }
 
   des::Simulator& sim_;
@@ -1079,7 +994,6 @@ class Engine final : public control::Actuator {
   std::uint64_t request_budget_;
   std::uint64_t offered_ = 0;  ///< first-attempt arrivals: the pump's count
   Rng rng_;
-  bool tracing_;
   std::unique_ptr<ArrivalProcess> gen_;
   std::unique_ptr<TokenBucket> bucket_;
   std::size_t rr_cursor_ = 0;
@@ -1119,15 +1033,6 @@ class Engine final : public control::Actuator {
   std::vector<obs::stream::DecisionRecord::Transition> tick_transitions_;
   std::uint32_t shard_index_ = 0;
   std::uint32_t shard_count_ = 1;
-  obs::Observer* o_ = nullptr;
-  obs::MetricId offered_m_ = 0, admitted_m_ = 0, shed_m_ = 0, retries_m_ = 0,
-                completed_m_ = 0, failed_m_ = 0, sojourn_m_ = 0;
-  obs::StringId cat_s_ = 0, request_s_ = 0, wait_key_s_ = 0, inflight_s_ = 0,
-                shed_cat_s_ = 0, bucket_s_ = 0, queue_s_ = 0;
-  obs::MetricId ctrl_ticks_m_ = 0, ctrl_sleeps_m_ = 0, ctrl_wakes_m_ = 0,
-                ctrl_points_m_ = 0, ctrl_active_g_ = 0, ctrl_power_g_ = 0;
-  obs::StringId ctrl_cat_s_ = 0, tick_s_ = 0, active_track_s_ = 0,
-                power_track_s_ = 0;
 };
 
 }  // namespace
@@ -1145,6 +1050,26 @@ double cluster_capacity_per_s(const model::ClusterSpec& cluster,
 }
 
 namespace {
+
+/// Adds a finished run's ledger to the active observer, once: the
+/// result's totals under the `traffic.*` counters and, for a controlled
+/// run, the control summary's under `control.*`.
+void add_to_observer(const TrafficResult& r) {
+  obs::Observer* o = obs::current();
+  if (o == nullptr) return;
+  obs::MetricsRegistry& m = o->metrics;
+  m.add(m.counter("traffic.offered"), r.offered);
+  m.add(m.counter("traffic.admitted"), r.admitted);
+  m.add(m.counter("traffic.shed"), r.shed_bucket + r.shed_queue);
+  m.add(m.counter("traffic.retries"), r.retries);
+  m.add(m.counter("traffic.completed"), r.completed);
+  m.add(m.counter("traffic.failed"), r.failed);
+  if (!r.control.enabled) return;
+  m.add(m.counter("control.ticks"), r.control.ticks);
+  m.add(m.counter("control.sleeps"), r.control.sleeps);
+  m.add(m.counter("control.wakes"), r.control.wakes);
+  m.add(m.counter("control.point_changes"), r.control.point_changes);
+}
 
 /// Shared implementation: exactly one of `process` (generated stream)
 /// or `assigned` (explicit time-sorted arrivals) is non-null. The
@@ -1194,7 +1119,7 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     engines.push_back(std::make_unique<Engine>(
         sim, classes, cumulative, options, tables,
         assigned != nullptr ? assigned->size() : options.requests,
-        Rng(options.seed), /*tracing=*/true, /*shard_index=*/0));
+        Rng(options.seed), /*shard_index=*/0));
     engines[0]->start_control();
     ReplaySource whole;
     if (assigned != nullptr) {
@@ -1216,9 +1141,7 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     // with the nodes across shards, and each shard replays its slice
     // through the replay feed. Shards share no mutable state, so their
     // event loops can run in parallel, with the stream produced beside
-    // them; per-request tracer spans are disabled (thread interleaving
-    // would make the trace nondeterministic) while the atomic metrics
-    // counters stay on.
+    // them.
     std::unique_ptr<ArrivalProcess> gen = process->clone();
     process_name = gen->name();
     ShardStream stream(shard_count, options.requests, std::move(gen),
@@ -1232,7 +1155,7 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
           *sims[s], classes, cumulative, options, tables,
           stream.source(s).planned,
           Rng(options.seed).split(static_cast<unsigned>(s)),
-          /*tracing=*/false, static_cast<std::uint32_t>(s)));
+          static_cast<std::uint32_t>(s)));
     }
     // The producer runs beside the shards only when they run on the
     // pool. Otherwise (serial shards, a one-thread pool, or a caller that
@@ -1434,6 +1357,7 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     if (makespan.value() > 0.0)
       l.busy_fraction /= std::max(1.0, count) * makespan.value();
   }
+  add_to_observer(out);
   return out;
 }
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -43,6 +44,19 @@ const workload::Workload& wl(const std::string& name) {
 
 std::vector<TrafficClass> one_class(const std::string& name = "EP") {
   return {TrafficClass{wl(name), 1.0, SloTarget{}}};
+}
+
+/// Runs `run`, which must throw a PreconditionError whose message names
+/// `option`.
+template <class F>
+void expect_rejected_naming(F run, const std::string& option) {
+  try {
+    run();
+    ADD_FAILURE() << "no PreconditionError naming " << option;
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------- keystone
@@ -134,27 +148,64 @@ TEST(Traffic, SameSeedRunReportsAreByteIdentical) {
 }
 
 TEST(Traffic, ObsCountersLedgerTheRun) {
-  const auto cluster = model::make_a9_k10_cluster(1, 0);
-  obs::Observer observer;
-  obs::ScopedObserver scope(observer);
-  TrafficOptions options;
-  options.requests = 800;
-  options.admission.bucket_rate_per_s = 5.0;
-  options.admission.bucket_burst = 10.0;
-  options.retry.max_attempts = 2;
-  options.retry.base_backoff = Seconds{0.05};
-  const auto r = simulate_traffic(cluster, one_class(),
-                                  *make_poisson(50.0), options);
-  const auto snap = observer.metrics.snapshot();
-  EXPECT_EQ(snap.counter("traffic.offered"), r.offered);
-  EXPECT_EQ(snap.counter("traffic.admitted"), r.admitted);
-  EXPECT_EQ(snap.counter("traffic.shed"), r.shed_bucket + r.shed_queue);
-  EXPECT_EQ(snap.counter("traffic.retries"), r.retries);
-  EXPECT_EQ(snap.counter("traffic.completed"), r.completed);
-  EXPECT_EQ(snap.counter("traffic.failed"), r.failed);
-  const auto* h = snap.histogram("traffic.sojourn_s");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, r.completed);
+  // A run adds its result's counts to the observer once, after the
+  // merge: each counter equals the result, and the engine keeps no
+  // latency histogram, control gauge or trace event of its own.
+  const auto expect_ledger = [](const obs::Observer& observer,
+                                const TrafficResult& r) {
+    const auto snap = observer.metrics.snapshot();
+    EXPECT_EQ(snap.counter("traffic.offered"), r.offered);
+    EXPECT_EQ(snap.counter("traffic.admitted"), r.admitted);
+    EXPECT_EQ(snap.counter("traffic.shed"), r.shed_bucket + r.shed_queue);
+    EXPECT_EQ(snap.counter("traffic.retries"), r.retries);
+    EXPECT_EQ(snap.counter("traffic.completed"), r.completed);
+    EXPECT_EQ(snap.counter("traffic.failed"), r.failed);
+    EXPECT_EQ(snap.counter("control.ticks"), r.control.ticks);
+    EXPECT_EQ(snap.counter("control.sleeps"), r.control.sleeps);
+    EXPECT_EQ(snap.counter("control.wakes"), r.control.wakes);
+    EXPECT_EQ(snap.counter("control.point_changes"),
+              r.control.point_changes);
+    EXPECT_EQ(snap.histogram("traffic.sojourn_s"), nullptr);
+    for (const auto& [name, value] : snap.gauges)
+      EXPECT_FALSE(name.starts_with("control.")) << name;
+    EXPECT_EQ(observer.tracer.recorded(), 0u);
+  };
+  {
+    SCOPED_TRACE("admission and retries, one shard");
+    obs::Observer observer;
+    obs::ScopedObserver scope(observer);
+    TrafficOptions options;
+    options.requests = 800;
+    options.admission.bucket_rate_per_s = 5.0;
+    options.admission.bucket_burst = 10.0;
+    options.retry.max_attempts = 2;
+    options.retry.base_backoff = Seconds{0.05};
+    const auto r = simulate_traffic(model::make_a9_k10_cluster(1, 0),
+                                    one_class(), *make_poisson(50.0),
+                                    options);
+    EXPECT_GT(r.shed_bucket, 0u);
+    expect_ledger(observer, r);
+  }
+  {
+    SCOPED_TRACE("power gate, two parallel shards");
+    const auto cluster = model::make_a9_k10_cluster(4, 2);
+    const double rate = 0.4 * cluster_capacity_per_s(cluster, one_class());
+    obs::Observer observer;
+    obs::ScopedObserver scope(observer);
+    TrafficOptions options;
+    options.requests = 4000;
+    options.seed = 13;
+    options.shards = 2;
+    options.control.controller = control::make_power_gate();
+    options.control.period = Seconds{50.0 / rate};
+    options.control.wake_delay = Seconds{20.0 / rate};
+    const auto r = simulate_traffic(
+        cluster, one_class(),
+        *make_diurnal(rate, 0.6, Seconds{1000.0 / rate}), options);
+    EXPECT_GT(r.control.sleeps, 0u);
+    EXPECT_GT(r.control.wakes, 0u);
+    expect_ledger(observer, r);
+  }
 }
 
 // ------------------------------------------------------ admission control
@@ -515,6 +566,20 @@ TEST(Traffic, CsvAndJsonlParsersRoundTrip) {
                PreconditionError);
   EXPECT_THROW((void)read_arrivals_csv("ts\n2.0\n1.0\n"),
                PreconditionError);  // must be sorted
+  // A non-finite instant would end a replay at its row; each is rejected
+  // at its line.
+  for (const std::string ts : {"inf", "-inf", "infinity", "nan"}) {
+    SCOPED_TRACE(ts);
+    expect_rejected_naming(
+        [&] { (void)read_arrivals_csv("ts\n0.5\n" + ts + "\n"); },
+        "line 3: non-finite timestamp");
+  }
+  expect_rejected_naming(
+      [] {
+        (void)make_replay(
+            {Seconds{0.5}, Seconds{std::numeric_limits<double>::infinity()}});
+      },
+      "non-finite timestamp");
 }
 
 // ----------------------------------------------------------- other shapes
@@ -810,19 +875,6 @@ TEST(TrafficSharded, RandomizedOptionsMatchSerialOrFailCleanly) {
   EXPECT_GT(matched, 0);
   EXPECT_GT(rejected[0], 0);
   EXPECT_GT(rejected[1], 0);
-}
-
-/// Runs `run`, which must throw a PreconditionError whose message names
-/// `option`.
-template <class F>
-void expect_rejected_naming(F run, const std::string& option) {
-  try {
-    run();
-    ADD_FAILURE() << "no PreconditionError naming " << option;
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(TrafficHorizon, StreamWindowsStopAtTheCap) {
