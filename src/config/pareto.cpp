@@ -1,6 +1,7 @@
 #include "hcep/config/pareto.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <limits>
 
@@ -159,41 +160,52 @@ std::vector<Evaluation> pareto_front(std::vector<Evaluation> evaluations) {
 
 std::vector<Evaluation> pareto_front(const EvaluationSet& evals) {
   if (evals.empty()) return {};
-  const std::vector<double>& time = evals.times();
-  const std::vector<double>& energy = evals.energies();
+  const auto& time = evals.times();
+  const auto& energy = evals.energies();
   const std::size_t n = evals.size();
 
   // Bucketed domination prefilter: bucket the time axis, take the prefix
   // minimum of per-bucket energies, and drop every point beaten on energy
   // by some strictly earlier bucket (which is strictly faster, so the
   // dropped point is dominated). Frontier members are never dominated and
-  // always survive; the sort below then runs on a small candidate set.
-  double t_lo = time[0];
-  double t_hi = time[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    t_lo = std::min(t_lo, time[i]);
-    t_hi = std::max(t_hi, time[i]);
-  }
-  const std::size_t kBuckets = 1024;
-  const double width = (t_hi - t_lo) / static_cast<double>(kBuckets);
-  std::vector<double> bucket_min;
-  const double inf = std::numeric_limits<double>::infinity();
-  auto bucket_of = [&](double t) {
-    const auto b = static_cast<std::size_t>((t - t_lo) / width);
-    return std::min(b, kBuckets - 1);
+  // always survive; the sort below then runs on the few survivors.
+  //
+  // Buckets are geometric: a double's bits, sign-folded, are monotone in
+  // its value, so the key's top bits split the time axis into octaves and
+  // slices of them. A sweep's slowest time can be 56,600x its fastest;
+  // equal-width buckets put most points in the first bucket, where
+  // nothing is dropped. (t + 0.0 turns -0.0 into +0.0, so equal times
+  // share one key.)
+  auto key_of = [](double t) {
+    const auto b = std::bit_cast<std::uint64_t>(t + 0.0);
+    return (b >> 63) != 0 ? ~b : b | std::uint64_t{1} << 63;
   };
-  if (width > 0.0) {
-    bucket_min.assign(kBuckets, inf);
-    for (std::size_t i = 0; i < n; ++i) {
-      double& slot = bucket_min[bucket_of(time[i])];
-      slot = std::min(slot, energy[i]);
-    }
-    double running = inf;
-    for (double& slot : bucket_min) {  // prefix min over faster buckets
-      const double here = slot;
-      slot = running;
-      running = std::min(running, here);
-    }
+  std::uint64_t key_lo = key_of(time[0]);
+  std::uint64_t key_hi = key_lo;
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::uint64_t k = key_of(time[i]);
+    key_lo = std::min(key_lo, k);
+    key_hi = std::max(key_hi, k);
+  }
+  constexpr std::uint64_t kMaxBuckets = 1024;
+  unsigned shift = 0;
+  while ((key_hi >> shift) - (key_lo >> shift) >= kMaxBuckets) ++shift;
+  const std::uint64_t base = key_lo >> shift;
+  auto bucket_of = [&](double t) {
+    return static_cast<std::size_t>((key_of(t) >> shift) - base);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> bucket_min(
+      static_cast<std::size_t>((key_hi >> shift) - base + 1), inf);
+  for (std::size_t i = 0; i < n; ++i) {
+    double& slot = bucket_min[bucket_of(time[i])];
+    slot = std::min(slot, energy[i]);
+  }
+  double running = inf;
+  for (double& slot : bucket_min) {  // prefix min over faster buckets
+    const double here = slot;
+    slot = running;
+    running = std::min(running, here);
   }
 
   // Compact (time, energy, index) keys sort contiguously — no random
@@ -206,7 +218,7 @@ std::vector<Evaluation> pareto_front(const EvaluationSet& evals) {
   };
   std::vector<Key> keys;
   for (std::size_t i = 0; i < n; ++i) {
-    if (width > 0.0 && bucket_min[bucket_of(time[i])] <= energy[i]) {
+    if (bucket_min[bucket_of(time[i])] <= energy[i]) {
       continue;  // dominated by a strictly faster bucket's best energy
     }
     keys.push_back(Key{time[i], energy[i], i});

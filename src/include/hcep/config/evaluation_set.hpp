@@ -10,6 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "hcep/config/space.hpp"
@@ -28,12 +31,35 @@ struct Evaluation {
   Watts busy_power{};
 };
 
+/// std::allocator whose value-less construct default-initializes: a
+/// vector<double, DefaultInitAllocator<double>>(n) allocates n doubles
+/// and writes none of them, so the first write to a page is the one that
+/// fills it.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
+/// One metric column of an EvaluationSet.
+using MetricColumn = std::vector<double, DefaultInitAllocator<double>>;
+
 /// Sweep results for every configuration of a ConfigSpace, stored as
 /// parallel metric columns indexed by configuration index. Borrows the
 /// space (for lazy materialization): the space must outlive the set.
 class EvaluationSet {
  public:
   EvaluationSet() = default;
+  /// A set of `n` rows whose values are unset until `set` writes them:
+  /// the columns are allocated but not initialized, so the sweep's pool
+  /// workers, not this constructor, touch their pages first.
+  /// evaluate_space writes every row.
   EvaluationSet(const ConfigSpace* space, std::size_t n)
       : space_(space), time_(n), energy_(n), idle_(n), busy_(n) {}
 
@@ -55,16 +81,10 @@ class EvaluationSet {
   }
 
   /// Raw columns (seconds / joules / watts), index-aligned.
-  [[nodiscard]] const std::vector<double>& times() const { return time_; }
-  [[nodiscard]] const std::vector<double>& energies() const {
-    return energy_;
-  }
-  [[nodiscard]] const std::vector<double>& idle_powers() const {
-    return idle_;
-  }
-  [[nodiscard]] const std::vector<double>& busy_powers() const {
-    return busy_;
-  }
+  [[nodiscard]] const MetricColumn& times() const { return time_; }
+  [[nodiscard]] const MetricColumn& energies() const { return energy_; }
+  [[nodiscard]] const MetricColumn& idle_powers() const { return idle_; }
+  [[nodiscard]] const MetricColumn& busy_powers() const { return busy_; }
 
   /// Writes one row (thread-safe for distinct `i`).
   void set(std::size_t i, Seconds time, Joules energy, Watts idle_power,
@@ -81,10 +101,10 @@ class EvaluationSet {
 
  private:
   const ConfigSpace* space_ = nullptr;
-  std::vector<double> time_;    ///< T_P [s]
-  std::vector<double> energy_;  ///< E_P [J]
-  std::vector<double> idle_;    ///< cluster idle floor [W]
-  std::vector<double> busy_;    ///< cluster busy power [W]
+  MetricColumn time_;    ///< T_P [s]
+  MetricColumn energy_;  ///< E_P [J]
+  MetricColumn idle_;    ///< cluster idle floor [W]
+  MetricColumn busy_;    ///< cluster busy power [W]
 };
 
 }  // namespace hcep::config

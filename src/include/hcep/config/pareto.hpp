@@ -48,8 +48,10 @@ namespace hcep::config {
 /// Extracts the Pareto frontier minimizing (time, energy): no returned
 /// configuration is dominated (another with <= time and <= energy, one
 /// strict). Result sorted by increasing time (hence decreasing energy).
-/// The EvaluationSet overload sorts 8-byte indices over the metric
-/// columns and materializes only the frontier members.
+/// The EvaluationSet overload drops every configuration that a strictly
+/// faster time bucket dominates, sorts the survivors' 24-byte (time,
+/// energy, index) keys and materializes only the frontier members; ties
+/// on (time, energy) go to the lowest index.
 [[nodiscard]] std::vector<Evaluation> pareto_front(
     std::vector<Evaluation> evaluations);
 [[nodiscard]] std::vector<Evaluation> pareto_front(const EvaluationSet& evals);

@@ -1,6 +1,7 @@
 #include "hcep/traffic/arrivals.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -246,31 +247,30 @@ std::vector<Seconds> read_arrivals_csv(std::string_view text) {
   std::size_t lineno = 0;
   std::istringstream in{std::string(text)};
   std::string line;
+  const auto rejected = [&](const std::string& why) {
+    return PreconditionError("read_arrivals_csv: line " +
+                             std::to_string(lineno) + ": " + why);
+  };
   while (std::getline(in, line)) {
     ++lineno;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    const std::string first = line.substr(0, line.find(','));
-    std::size_t consumed = 0;
+    // The whole field must be a decimal number: no sign but '-', no
+    // space, no hex, no trailing text. A subnormal is a value.
+    const std::string_view first =
+        std::string_view(line).substr(0, line.find(','));
+    const char* end = first.data() + first.size();
     double ts = 0.0;
-    try {
-      ts = std::stod(first, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    if (consumed != first.size()) {
+    const auto [ptr, ec] = std::from_chars(first.data(), end, ts);
+    if (ec == std::errc::invalid_argument || ptr != end) {
       // A non-numeric first row is a header; anywhere else it is an error.
       if (lineno == 1 && out.empty()) continue;
-      throw PreconditionError("read_arrivals_csv: line " +
-                              std::to_string(lineno) +
-                              ": non-numeric timestamp '" + first + "'");
+      throw rejected("non-numeric timestamp '" + std::string(first) + "'");
     }
-    if (!std::isfinite(ts))
-      throw PreconditionError("read_arrivals_csv: line " +
-                              std::to_string(lineno) +
-                              ": non-finite timestamp");
-    require(ts >= 0.0, "read_arrivals_csv: line " + std::to_string(lineno) +
-                           ": negative timestamp");
+    if (ec == std::errc::result_out_of_range)
+      throw rejected("timestamp '" + std::string(first) + "' out of range");
+    if (!std::isfinite(ts)) throw rejected("non-finite timestamp");
+    if (ts < 0.0) throw rejected("negative timestamp");
     out.push_back(Seconds{ts});
   }
   require(!out.empty(), "read_arrivals_csv: no arrivals in input");

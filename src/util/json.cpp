@@ -60,8 +60,12 @@ JsonValue& JsonValue::push(JsonValue v) {
 
 JsonValue& JsonValue::set(const std::string& key, JsonValue v) {
   require(kind_ == Kind::kObject, "JsonValue::set: not an object");
+  // The message is built only on a match: set is called once per field
+  // of every document written, so a per-key message would allocate
+  // n - 1 strings for the n-th field.
   for (const auto& [k, unused] : fields_)
-    require(k != key, "JsonValue::set: duplicate key '" + key + "'");
+    if (k == key)
+      throw PreconditionError("JsonValue::set: duplicate key '" + key + "'");
   fields_.emplace_back(key, std::move(v));
   return *this;
 }
@@ -108,8 +112,9 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 const JsonValue& JsonValue::at(std::string_view key) const {
   const JsonValue* v = find(key);
-  require(v != nullptr,
-          "JsonValue::at: missing key '" + std::string(key) + "'");
+  if (v == nullptr)
+    throw PreconditionError("JsonValue::at: missing key '" +
+                            std::string(key) + "'");
   return *v;
 }
 

@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "hcep/config/budget.hpp"
 #include "hcep/config/pareto.hpp"
@@ -335,6 +339,110 @@ TEST(ParetoFront, FrontierEndpoints) {
   double min_energy = 1e300;
   for (double e : evals.energies()) min_energy = std::min(min_energy, e);
   EXPECT_DOUBLE_EQ(front.back().energy.value(), min_energy);
+}
+
+/// The front by definition, with no prefilter: every row's (time,
+/// energy, index) key sorted, then each row that lowers the running
+/// minimum energy. Returns the members' indices in front order.
+std::vector<std::uint64_t> reference_front(const EvaluationSet& evals) {
+  std::vector<std::tuple<double, double, std::uint64_t>> keys;
+  for (std::size_t i = 0; i < evals.size(); ++i)
+    keys.emplace_back(evals.times()[i], evals.energies()[i], i);
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::uint64_t> front;
+  double best = std::numeric_limits<double>::infinity();
+  for (const auto& [time, energy, index] : keys) {
+    if (energy < best) {
+      best = energy;
+      front.push_back(index);
+    }
+  }
+  return front;
+}
+
+void expect_front_matches_reference(const EvaluationSet& evals) {
+  const auto front = pareto_front(evals);
+  const auto expected = reference_front(evals);
+  ASSERT_EQ(front.size(), expected.size());
+  for (std::size_t j = 0; j < front.size(); ++j) {
+    SCOPED_TRACE("member " + std::to_string(j));
+    EXPECT_EQ(front[j].index, expected[j]);
+    EXPECT_EQ(front[j].time.value(), evals.times()[expected[j]]);
+    EXPECT_EQ(front[j].energy.value(), evals.energies()[expected[j]]);
+  }
+}
+
+TEST(ParetoFront, PrefilterMatchesSortEverythingOnEveryProgram) {
+  // 92,768 configurations; a program's slowest time is 35x (memcached)
+  // to 14,000x (RSA-2048) its fastest, the range the prefilter's
+  // buckets must resolve.
+  const ConfigSpace space = make_a9_k10_space(16, 16);
+  ASSERT_EQ(space.size(), 92768u);
+  for (const auto& w : workload::paper_workloads()) {
+    SCOPED_TRACE(w.name);
+    expect_front_matches_reference(evaluate_space(space, w));
+  }
+}
+
+TEST(ParetoFront, PrefilterMatchesSortEverythingOnHandBuiltSets) {
+  const ConfigSpace space = make_a9_k10_space(2, 2);  // 1,516 configs
+  const auto set_row = [](EvaluationSet& s, std::size_t i, double t,
+                          double e) {
+    s.set(i, Seconds{t}, Joules{e}, Watts{1.0}, Watts{2.0});
+  };
+  {  // One row is its own front.
+    EvaluationSet one(&space, 1);
+    set_row(one, 0, 2.0, 3.0);
+    expect_front_matches_reference(one);
+    EXPECT_EQ(pareto_front(one).size(), 1u);
+  }
+  {  // Every row at one time: the lowest energy, lowest index wins.
+    EvaluationSet flat(&space, 50);
+    for (std::size_t i = 0; i < 50; ++i)
+      set_row(flat, i, 0.5, 10.0 - static_cast<double>(i % 7));
+    expect_front_matches_reference(flat);
+    const auto front = pareto_front(flat);
+    ASSERT_EQ(front.size(), 1u);
+    EXPECT_EQ(front[0].index, 6u);
+  }
+  {  // Equal (time, energy) at two indices: the lower index wins.
+    EvaluationSet tie(&space, 4);
+    set_row(tie, 0, 2.0, 5.0);
+    set_row(tie, 1, 1.0, 3.0);
+    set_row(tie, 2, 3.0, 1.0);
+    set_row(tie, 3, 1.0, 3.0);
+    expect_front_matches_reference(tie);
+    const auto front = pareto_front(tie);
+    ASSERT_EQ(front.size(), 2u);
+    EXPECT_EQ(front[0].index, 1u);
+    EXPECT_EQ(front[1].index, 2u);
+  }
+  {  // -0.0 and +0.0 are one time: the lower index wins there too.
+    EvaluationSet zeros(&space, 3);
+    set_row(zeros, 0, 0.0, 4.0);
+    set_row(zeros, 1, -0.0, 4.0);
+    set_row(zeros, 2, 1.0, 2.0);
+    expect_front_matches_reference(zeros);
+    const auto front = pareto_front(zeros);
+    ASSERT_EQ(front.size(), 2u);
+    EXPECT_EQ(front[0].index, 0u);
+  }
+  {  // Times from the smallest subnormal to 1e300, pairs of rows sharing
+     // a time, energies scrambled so the front has several members.
+    constexpr std::size_t kRows = 600;
+    EvaluationSet wide(&space, kRows);
+    set_row(wide, 0, std::numeric_limits<double>::denorm_min(), 1e3);
+    for (std::size_t i = 1; i < kRows; ++i) {
+      const double decade =
+          -320.0 + 620.0 * static_cast<double>(i / 2 * 2) / (kRows - 2);
+      set_row(wide, i, std::pow(10.0, decade),
+              1.0 + static_cast<double>(i * 7919 % 1000));
+    }
+    EXPECT_LT(wide.times()[1], std::numeric_limits<double>::min());
+    EXPECT_EQ(wide.times()[kRows - 1], 1e300);
+    expect_front_matches_reference(wide);
+    EXPECT_GT(pareto_front(wide).size(), 3u);
+  }
 }
 
 TEST(ParetoFront, EmptyInputYieldsEmptyFront) {

@@ -5,7 +5,8 @@
 // arena, passing preconditions that build no message), the arrival
 // generator every request is drawn from, the token bucket every
 // admitted request consults, and the latency sketch every completion
-// adds to.
+// adds to. Off the hot path, it also bounds what building a JSON object
+// allocates, since every result document is written field by field.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,11 +14,14 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "hcep/des/simulator.hpp"
 #include "hcep/traffic/admission.hpp"
 #include "hcep/traffic/arrivals.hpp"
 #include "hcep/traffic/slo.hpp"
+#include "hcep/util/json.hpp"
 #include "hcep/util/rng.hpp"
 
 namespace {
@@ -130,6 +134,22 @@ TEST(DesAlloc, WarmLatencySketchAddsAllocateNothing) {
   });
   EXPECT_EQ(news, 0u);
   EXPECT_EQ(sketch.count(), static_cast<std::uint64_t>(kCountedCycles + 2));
+}
+
+TEST(DesAlloc, JsonObjectSetsAllocateOnlyTheFieldsVector) {
+  // Each set compares its key with every field already present; a
+  // passing comparison builds no message. With short (SSO) keys and
+  // scalar values, 64 sets allocate only as the fields vector grows
+  // (7 doublings), not once per comparison (2,016).
+  std::vector<std::string> keys;
+  for (int i = 0; i < 64; ++i) keys.push_back("k" + std::to_string(i));
+  JsonValue obj = JsonValue::object();
+  const std::uint64_t news = news_during([&] {
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      obj.set(keys[i], JsonValue::number(static_cast<std::int64_t>(i)));
+  });
+  EXPECT_EQ(obj.size(), keys.size());
+  EXPECT_LE(news, 16u);
 }
 
 }  // namespace

@@ -580,6 +580,24 @@ TEST(Traffic, CsvAndJsonlParsersRoundTrip) {
             {Seconds{0.5}, Seconds{std::numeric_limits<double>::infinity()}});
       },
       "non-finite timestamp");
+  // A timestamp is the whole field read as a decimal number: a subnormal
+  // is a value; hex, a leading '+' or space and trailing text are not
+  // numbers; a number past double's range is located.
+  const auto tiny = read_arrivals_csv("ts\n0\n1e-320\n");
+  ASSERT_EQ(tiny.size(), 2u);
+  EXPECT_EQ(tiny[1].value(), 1e-320);
+  for (const std::string ts : {"0x10", "+1", " 1", "1s", "1 "}) {
+    SCOPED_TRACE(ts);
+    expect_rejected_naming(
+        [&] { (void)read_arrivals_csv("ts\n0.5\n" + ts + "\n"); },
+        "line 3: non-numeric timestamp '" + ts + "'");
+  }
+  for (const std::string ts : {"1e400", "1e-400"}) {
+    SCOPED_TRACE(ts);
+    expect_rejected_naming(
+        [&] { (void)read_arrivals_csv("ts\n0\n" + ts + "\n"); },
+        "line 3: timestamp '" + ts + "' out of range");
+  }
 }
 
 // ----------------------------------------------------------- other shapes

@@ -68,8 +68,11 @@ SUITES = {
             # fall-back to the naive path reads about 1x.
             {"fast": "BM_EvaluateSpace/10/1",
              "slow": "BM_EvaluateSpaceNaive/10/1", "min_ratio": 10.0},
+            # The set overload's prefilter keeps 41 of x264's 23,344
+            # configurations; with equal-width time buckets it kept
+            # 12,051, and the ratio read 10-18 (docs/PERF.md).
             {"fast": "BM_ParetoFront", "slow": "BM_ParetoFrontMaterialized",
-             "min_ratio": 12.0},
+             "min_ratio": 50.0},
         ],
     },
     "traffic": {
