@@ -107,6 +107,7 @@ AutoscaleResult autoscale_replay(const model::TimeEnergyModel& m,
   obs::Observer* o = obs::current();
   obs::StringId cat_s = 0, up_s = 0, down_s = 0, delta_s = 0, commit_s = 0;
   obs::MetricId decisions_m = 0;
+  std::uint64_t decisions = 0;  // added to decisions_m once, after the loop
   if (o != nullptr) {
     cat_s = o->tracer.intern("autoscale");
     up_s = o->tracer.intern("scale_up");
@@ -133,7 +134,7 @@ AutoscaleResult autoscale_replay(const model::TimeEnergyModel& m,
       // Park immediately (LIFO within the efficiency order).
     }
     if (o != nullptr && want != committed) {
-      o->metrics.add(decisions_m);
+      ++decisions;
       o->tracer.instant(t, cat_s, want > committed ? up_s : down_s, delta_s,
                         static_cast<double>(want) -
                             static_cast<double>(committed));
@@ -148,6 +149,7 @@ AutoscaleResult autoscale_replay(const model::TimeEnergyModel& m,
     serving = committed;
   }
   (void)serving;
+  if (o != nullptr) o->metrics.add(decisions_m, decisions);
 
   const auto segment_at = [&](double t) -> std::size_t {
     std::size_t lo = 0, hi = segments.size();

@@ -73,6 +73,7 @@ struct SimCtx {
   obs::Observer* o = nullptr;
   obs::MetricId jobs_arrived_m = 0, jobs_completed_m = 0;
   obs::MetricId arrival_ev_m = 0, completion_ev_m = 0, power_ev_m = 0;
+  std::uint64_t arrival_events = 0, power_events = 0;
   obs::StringId cat_s = 0, job_s = 0, wait_s = 0, arrival_s = 0, batch_s = 0;
   obs::StringId node_cat_s = 0, node_id_s = 0;
   std::vector<obs::StringId> group_name_s;
@@ -126,7 +127,7 @@ struct SimCtx {
   void adjust(Watts delta) {
     level += delta;
     probe.step(sim.now(), level);
-    if (o != nullptr) o->metrics.add(power_ev_m);
+    ++power_events;
   }
 
   void group_power_on(std::size_t i, Watts dyn) {
@@ -193,8 +194,6 @@ struct SimCtx {
     server_busy = false;
     if (o != nullptr) {
       o->tracer.end(sim.now().value(), cat_s, job_s);
-      o->metrics.add(completion_ev_m);
-      o->metrics.add(jobs_completed_m);
     }
     ++out.jobs_completed;
     out.units_completed += m.workload().units_per_job;
@@ -229,9 +228,8 @@ struct SimCtx {
   }
 
   void on_arrival() {
+    ++arrival_events;
     if (o != nullptr) {
-      o->metrics.add(arrival_ev_m);
-      o->metrics.add(jobs_arrived_m, options.batch_size);
       o->tracer.instant(sim.now().value(), cat_s, arrival_s, batch_s,
                         static_cast<double>(options.batch_size));
     }
@@ -274,6 +272,12 @@ SimResult simulate(const model::TimeEnergyModel& m, const SimOptions& options) {
   ctx.sim.run();
 
   if (ctx.o != nullptr) {
+    // The run's counts, added once: one completion event per job.
+    ctx.o->metrics.add(ctx.jobs_arrived_m, ctx.out.jobs_arrived);
+    ctx.o->metrics.add(ctx.jobs_completed_m, ctx.out.jobs_completed);
+    ctx.o->metrics.add(ctx.arrival_ev_m, ctx.arrival_events);
+    ctx.o->metrics.add(ctx.completion_ev_m, ctx.out.jobs_completed);
+    ctx.o->metrics.add(ctx.power_ev_m, ctx.power_events);
     // Ring drops are silent data loss: surface the tally as a live gauge
     // so metric snapshots expose it without decoding the trace.
     ctx.o->metrics.set(ctx.o->metrics.gauge("obs.trace_dropped"),

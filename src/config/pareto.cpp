@@ -37,8 +37,8 @@ EvaluationSet evaluate_space(const ConfigSpace& space,
 
   // Chunks execute on pool workers, so the caller's observer is captured
   // here rather than re-resolved per chunk (workers only see the global
-  // fallback). The metrics fast path is per-thread sharded, so concurrent
-  // chunk writers never contend.
+  // fallback). The configuration and chunk counts are known up front and
+  // added once, after the sweep; each chunk observes only its own time.
   obs::Observer* o = obs::current();
   obs::MetricId configs_m = 0, chunks_m = 0, chunk_us_m = 0;
   if (o != nullptr) {
@@ -101,14 +101,16 @@ EvaluationSet evaluate_space(const ConfigSpace& space,
       const auto elapsed =
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - chunk_start);
-      o->metrics.add(configs_m, end - begin);
-      o->metrics.add(chunks_m);
       o->metrics.observe(chunk_us_m, static_cast<double>(elapsed.count()));
     }
   };
 
   ThreadPool& p = pool ? *pool : ThreadPool::global();
   parallel_for(p, 0, n_chunks, sweep_chunk, 1);
+  if (o != nullptr) {
+    o->metrics.add(configs_m, n_cfg);
+    o->metrics.add(chunks_m, n_chunks);
+  }
   return out;
 }
 

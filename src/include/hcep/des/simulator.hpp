@@ -42,21 +42,21 @@ namespace hcep::des {
 /// the per-event heap allocation.)
 using EventCallback = Callback;
 
+/// alignas(16) keeps sizeof at 208 bytes (the members take 200): a
+/// sharded traffic run allocates every shard's simulator beside its
+/// engine, and the shards' speed moves with where those blocks fall
+/// (ROADMAP item 6).
 template <Scheduler Sched>
-class BasicSimulator {
+class alignas(16) BasicSimulator {
  public:
-  /// Binds to obs::current() at construction (null sink by default):
-  /// every executed event feeds the `des.events` counter plus queue-depth
-  /// and event-time histograms of the active observer.
+  /// Binds to obs::current() at construction (null sink by default) and
+  /// registers its `des.events` counter there; run() and run_until() add
+  /// the events they executed to it when they return. A traffic shard's
+  /// simulator is built on the calling thread and run on a pool worker,
+  /// so it reports to the caller's observer.
   BasicSimulator() {
     obs_ = obs::current();
-    if (obs_ != nullptr) {
-      events_metric_ = obs_->metrics.counter("des.events");
-      depth_metric_ = obs_->metrics.histogram(
-          "des.queue_depth", {0, 1, 2, 4, 8, 16, 32, 64, 128, 256});
-      time_metric_ = obs_->metrics.histogram(
-          "des.event_time_s", {1e-3, 1e-2, 1e-1, 1, 10, 100, 1e3, 1e4});
-    }
+    if (obs_ != nullptr) events_metric_ = obs_->metrics.counter("des.events");
   }
   BasicSimulator(const BasicSimulator&) = delete;
   BasicSimulator& operator=(const BasicSimulator&) = delete;
@@ -120,17 +120,12 @@ class BasicSimulator {
   }
 
   /// Executes the next event; returns false when the queue is empty.
+  /// Reports nothing to the observer: run() and run_until() do.
   bool step() {
     if (queue_.empty()) return false;
     Event ev = queue_.pop();
     now_ = ev.time;
     ++processed_;
-    if (obs_ != nullptr) {
-      obs_->metrics.add(events_metric_);
-      obs_->metrics.observe(depth_metric_,
-                            static_cast<double>(queue_.size()));
-      obs_->metrics.observe(time_metric_, now_.value());
-    }
     ev.callback();
     return true;
   }
@@ -139,14 +134,18 @@ class BasicSimulator {
   /// `horizon`; the clock is finally advanced to exactly `horizon`.
   void run_until(Seconds horizon) {
     require(horizon >= now_, "Simulator::run_until: horizon in the past");
+    const std::uint64_t first = processed_;
     while (!queue_.empty() && queue_.peek_time() <= horizon) step();
     now_ = horizon;
+    report_events(first);
   }
 
   /// Runs until the queue drains completely.
   void run() {
+    const std::uint64_t first = processed_;
     while (step()) {
     }
+    report_events(first);
   }
 
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
@@ -154,6 +153,11 @@ class BasicSimulator {
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
  private:
+  /// Adds the events executed since `first` to the bound observer.
+  void report_events(std::uint64_t first) {
+    if (obs_ != nullptr) obs_->metrics.add(events_metric_, processed_ - first);
+  }
+
   /// Emplaces the callable straight into the scheduler's event record
   /// when the scheduler supports it.
   template <class F>
@@ -171,8 +175,6 @@ class BasicSimulator {
   std::uint64_t processed_ = 0;
   obs::Observer* obs_ = nullptr;
   obs::MetricId events_metric_ = 0;
-  obs::MetricId depth_metric_ = 0;
-  obs::MetricId time_metric_ = 0;
 };
 
 /// The production kernel.

@@ -1,23 +1,20 @@
-// Low-overhead metrics: counters, gauges and fixed-bucket histograms.
+// Metrics: counters, gauges and fixed-bucket histograms.
 //
 // The paper's methodology is measurement-first: perf counters plus a
 // sampling wattmeter over every run. The simulated substrate needs the
-// same discipline, but instrumentation must not perturb what it measures
-// — sweeps evaluate tens of thousands of configurations and the DES
-// processes millions of events. The registry therefore keeps one shard
-// of plain slots per writing thread: the hot path is a relaxed load/store
-// on the calling thread's own slot (no CAS, no lock, no false sharing
-// with other writers) and snapshot() merges the shards on demand.
+// same discipline, but instrumentation must not perturb what it measures.
+// So no hot loop writes here: the DES kernel, the cluster simulator and
+// the traffic engine count their own events and add the totals once,
+// when a run ends. What remains are a handful of writes per run and one
+// per pool task or sweep chunk, so the registry is one mutex over one
+// vector of metrics, and snapshot() copies it under that mutex: exact at
+// any time.
 //
-// Registration (name -> id) takes a mutex and is meant to happen once per
-// run; call sites cache the returned MetricId and pass it to the
-// lock-free add()/observe()/set() fast path.
+// Registration (name -> id) looks the name up under the same mutex;
+// call sites that write often cache the returned MetricId.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -30,7 +27,7 @@ namespace hcep::obs {
 /// Handle to a registered metric; stable for the registry's lifetime.
 using MetricId = std::uint32_t;
 
-/// Merged view of one histogram: `counts` has bounds.size() + 1 entries,
+/// Copy of one histogram: `counts` has bounds.size() + 1 entries,
 /// the last being the overflow bucket (values > bounds.back()).
 struct HistogramSnapshot {
   std::string name;
@@ -54,7 +51,7 @@ struct HistogramSnapshot {
   [[nodiscard]] double quantile(double q) const;
 };
 
-/// Point-in-time merge of every shard.
+/// Point-in-time copy of every metric, in registration order per kind.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -73,13 +70,7 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  /// `slot_capacity` bounds the total number of 64-bit slots (counters
-  /// cost 1, a histogram with B bounds costs B + 2); fixing it up front
-  /// is what lets shards be plain preallocated arrays the fast path can
-  /// index without any synchronization against later registrations.
-  explicit MetricsRegistry(std::size_t slot_capacity = 1024);
-  ~MetricsRegistry();
-
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -91,51 +82,35 @@ class MetricsRegistry {
   /// bounds throws.
   MetricId histogram(std::string_view name, std::vector<double> bounds);
 
-  /// Lock-free fast path: bumps the calling thread's shard slot.
+  /// Adds `n` to a counter.
   void add(MetricId id, std::uint64_t n = 1);
-  /// Last-writer-wins shared gauge store.
+  /// Last-writer-wins gauge store.
   void set(MetricId id, double value);
-  /// Lock-free fast path: buckets `value` into the thread's shard.
+  /// Buckets `value` into a histogram.
   void observe(MetricId id, double value);
 
-  /// Merges every shard; safe to call while writers are active (relaxed
-  /// reads — the snapshot is a consistent-enough monitoring view, exact
-  /// once writers are quiescent).
+  /// Copies every metric under the lock; safe while writers are active.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Zeroes every shard slot and gauge (writers must be quiescent).
+  /// Zeroes every counter, gauge and histogram.
   void reset();
 
  private:
   enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
-  struct Descriptor {
+  struct Metric {
     std::string name;
-    Kind kind;
-    std::uint32_t slot = 0;      ///< first u64 slot (counter/histogram)
-    std::uint32_t sum_slot = 0;  ///< f64 slot (histogram sum)
-    /// Shared gauge cell (stable deque element address), captured at
-    /// registration so the fast path never walks the deque.
-    std::atomic<double>* gauge = nullptr;
-    std::vector<double> bounds;
-  };
-  struct Shard {
-    std::unique_ptr<std::atomic<std::uint64_t>[]> u64;
-    std::unique_ptr<std::atomic<double>[]> f64;
+    Kind kind = Kind::kCounter;
+    std::uint64_t count = 0;  ///< counter value; histogram observations
+    double value = 0.0;       ///< gauge value; histogram sum
+    std::vector<double> bounds;          ///< histogram upper edges
+    std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1, overflow last
   };
 
-  Shard& local_shard();
   MetricId find_or_register(std::string_view name, Kind kind,
                             std::vector<double> bounds);
 
-  const std::size_t slot_capacity_;
-  const std::uint64_t serial_;  ///< process-unique, keys thread caches
-
-  mutable std::mutex mutex_;  ///< guards registration and the shard list
-  std::vector<Descriptor> descriptors_;  ///< reserved; never reallocates
-  std::size_t next_u64_ = 0;
-  std::size_t next_f64_ = 0;
-  std::deque<std::atomic<double>> gauges_;  ///< stable element addresses
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;
+  std::vector<Metric> metrics_;  ///< indexed by MetricId
 };
 
 }  // namespace hcep::obs

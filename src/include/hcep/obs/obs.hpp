@@ -4,19 +4,19 @@
 //
 // Sink resolution is null by default — no observer installed means every
 // instrumentation site reduces to one thread-local load, one atomic load
-// and a branch, so the PR-1 sweep/simulator fast paths are untouched.
+// and a branch. The sites sit at run, task and chunk boundaries, not in
+// per-event loops: the DES kernel, the cluster simulator and the traffic
+// engine count their own events and add them to the observer once, when
+// a run ends.
 // A ScopedObserver installs an observer for the calling thread (each
 // parallel campaign can trace into its own sink), or the null sink to
 // run a scope unobserved; set_global() installs a process-wide fallback
-// that pool workers and sweep chunks report to.
+// that pool workers report to.
 //
 // The null sink is the only off switch: every instrumentation site is
 // compiled into every build and guarded by that pointer check alone, and
 // nothing it records feeds back into a result.
 #pragma once
-
-#include <atomic>
-#include <cstddef>
 
 #include "hcep/obs/metrics.hpp"
 #include "hcep/obs/trace.hpp"
@@ -24,10 +24,6 @@
 namespace hcep::obs {
 
 struct Observer {
-  explicit Observer(std::size_t trace_capacity = 1u << 16,
-                    std::size_t metric_capacity = 1024)
-      : metrics(metric_capacity), tracer(trace_capacity) {}
-
   MetricsRegistry metrics;
   EventTracer tracer;
 };
@@ -39,6 +35,12 @@ struct Observer {
 
 /// Installs/clears the process-wide fallback (not owning). Pass nullptr
 /// to restore the null sink.
+///
+/// Lifetime: a pool worker resolves current() before it waits for its
+/// next task and, when it wakes, books the wait to the observer it
+/// resolved (ThreadPool::worker_loop). So an observer installed here is
+/// still written after it is cleared or replaced: keep it alive until
+/// every worker has run a task since, or make it static.
 void set_global(Observer* observer);
 [[nodiscard]] Observer* global();
 

@@ -77,5 +77,8 @@ class JsonValue {
 
 /// Escapes a string per JSON rules (quotes not included).
 [[nodiscard]] std::string json_escape(const std::string& s);
+/// Appends `s`, escaped per JSON rules (quotes not included), to `out`;
+/// writers escape through this so no key or value needs a temporary.
+void append_json_escaped(std::string& out, std::string_view s);
 
 }  // namespace hcep

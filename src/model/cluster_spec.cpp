@@ -41,12 +41,15 @@ void ClusterSpec::validate() const {
   for (const auto& g : groups) {
     g.spec.validate();
     if (g.count > 0) any = true;
-    require(g.cores() >= 1 && g.cores() <= g.spec.cores,
-            "ClusterSpec: active cores out of range for " + g.spec.name);
+    if (g.cores() < 1 || g.cores() > g.spec.cores) {
+      throw PreconditionError("ClusterSpec: active cores out of range for " +
+                              g.spec.name);
+    }
     const Hertz f = g.freq();
-    require(f >= g.spec.dvfs.min() && f <= g.spec.dvfs.max(),
-            "ClusterSpec: frequency outside the DVFS ladder of " +
-                g.spec.name);
+    if (!(f >= g.spec.dvfs.min() && f <= g.spec.dvfs.max())) {
+      throw PreconditionError(
+          "ClusterSpec: frequency outside the DVFS ladder of " + g.spec.name);
+    }
   }
   require(any, "ClusterSpec: cluster has zero nodes");
 }

@@ -12,9 +12,12 @@ TimeEnergyModel::TimeEnergyModel(ClusterSpec cluster,
   cluster_.validate();
   group_rates_.reserve(cluster_.groups.size());
   for (const auto& g : cluster_.groups) {
-    require(workload_->has_node(g.spec.name),
-            "TimeEnergyModel: workload '" + workload_->name +
-                "' lacks demand for node type '" + g.spec.name + "'");
+    if (!workload_->has_node(g.spec.name)) {
+      throw PreconditionError("TimeEnergyModel: workload '" +
+                              workload_->name +
+                              "' lacks demand for node type '" +
+                              g.spec.name + "'");
+    }
     const double per_node = workload::unit_throughput(
         workload_->demand_for(g.spec.name), g.spec, g.cores(), g.freq());
     const double rate = per_node * static_cast<double>(g.count);

@@ -6,106 +6,41 @@
 
 namespace hcep::obs {
 
-namespace {
-
-std::uint64_t next_registry_serial() {
-  static std::atomic<std::uint64_t> serial{1};
-  return serial.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Thread-local shard cache. Keyed by the registry's process-unique
-/// serial (not its address) so a registry destroyed and another allocated
-/// at the same address can never alias a stale shard pointer.
-struct ShardRef {
-  std::uint64_t serial = 0;
-  void* shard = nullptr;
-};
-thread_local std::vector<ShardRef> t_shards;
-
-}  // namespace
-
-MetricsRegistry::MetricsRegistry(std::size_t slot_capacity)
-    : slot_capacity_(slot_capacity), serial_(next_registry_serial()) {
-  require(slot_capacity_ > 0, "MetricsRegistry: zero slot capacity");
-  // The fast path indexes descriptors_ without locking; reserving the
-  // full capacity guarantees push_back never reallocates underneath it.
-  descriptors_.reserve(slot_capacity_);
-}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
-MetricsRegistry::Shard& MetricsRegistry::local_shard() {
-  for (const ShardRef& ref : t_shards) {
-    if (ref.serial == serial_) return *static_cast<Shard*>(ref.shard);
-  }
-  std::lock_guard lock(mutex_);
-  auto shard = std::make_unique<Shard>();
-  shard->u64 =
-      std::make_unique<std::atomic<std::uint64_t>[]>(slot_capacity_);
-  shard->f64 = std::make_unique<std::atomic<double>[]>(slot_capacity_);
-  for (std::size_t i = 0; i < slot_capacity_; ++i) {
-    shard->u64[i].store(0, std::memory_order_relaxed);
-    shard->f64[i].store(0.0, std::memory_order_relaxed);
-  }
-  Shard* raw = shard.get();
-  shards_.push_back(std::move(shard));
-  t_shards.push_back(ShardRef{serial_, raw});
-  return *raw;
-}
-
 MetricId MetricsRegistry::find_or_register(std::string_view name, Kind kind,
                                            std::vector<double> bounds) {
   std::lock_guard lock(mutex_);
-  for (std::size_t i = 0; i < descriptors_.size(); ++i) {
-    if (descriptors_[i].name != name) continue;
-    require(descriptors_[i].kind == kind,
-            "MetricsRegistry: metric '" + std::string(name) +
-                "' re-registered with a different kind");
-    require(kind != Kind::kHistogram || descriptors_[i].bounds == bounds,
-            "MetricsRegistry: histogram '" + std::string(name) +
-                "' re-registered with different bounds");
+  for (std::size_t i = 0; i < metrics_.size(); ++i) {
+    const Metric& m = metrics_[i];
+    if (m.name != name) continue;
+    // Lookups are the common case (the pool makes two per observed
+    // task), so the error text is built only on a mismatch.
+    if (m.kind != kind) {
+      throw PreconditionError("MetricsRegistry: metric '" +
+                              std::string(name) +
+                              "' re-registered with a different kind");
+    }
+    if (kind == Kind::kHistogram && m.bounds != bounds) {
+      throw PreconditionError("MetricsRegistry: histogram '" +
+                              std::string(name) +
+                              "' re-registered with different bounds");
+    }
     return static_cast<MetricId>(i);
   }
-  require(descriptors_.size() < slot_capacity_,
-          "MetricsRegistry: metric capacity exhausted");
 
-  Descriptor d;
-  d.name = std::string(name);
-  d.kind = kind;
-  switch (kind) {
-    case Kind::kCounter: {
-      require(next_u64_ + 1 <= slot_capacity_,
-              "MetricsRegistry: slot capacity exhausted");
-      d.slot = static_cast<std::uint32_t>(next_u64_);
-      next_u64_ += 1;
-      break;
-    }
-    case Kind::kGauge: {
-      gauges_.emplace_back();
-      gauges_.back().store(0.0, std::memory_order_relaxed);
-      d.gauge = &gauges_.back();
-      break;
-    }
-    case Kind::kHistogram: {
-      require(!bounds.empty(), "MetricsRegistry: histogram without bounds");
-      require(std::is_sorted(bounds.begin(), bounds.end()) &&
-                  std::adjacent_find(bounds.begin(), bounds.end()) ==
-                      bounds.end(),
-              "MetricsRegistry: histogram bounds must strictly ascend");
-      // bounds.size() + 1 buckets (incl. overflow) plus a count slot.
-      require(next_u64_ + bounds.size() + 2 <= slot_capacity_ &&
-                  next_f64_ + 1 <= slot_capacity_,
-              "MetricsRegistry: slot capacity exhausted");
-      d.slot = static_cast<std::uint32_t>(next_u64_);
-      next_u64_ += bounds.size() + 2;
-      d.sum_slot = static_cast<std::uint32_t>(next_f64_);
-      next_f64_ += 1;
-      d.bounds = std::move(bounds);
-      break;
-    }
+  Metric m;
+  m.name = std::string(name);
+  m.kind = kind;
+  if (kind == Kind::kHistogram) {
+    require(!bounds.empty(), "MetricsRegistry: histogram without bounds");
+    require(std::is_sorted(bounds.begin(), bounds.end()) &&
+                std::adjacent_find(bounds.begin(), bounds.end()) ==
+                    bounds.end(),
+            "MetricsRegistry: histogram bounds must strictly ascend");
+    m.buckets.assign(bounds.size() + 1, 0);
+    m.bounds = std::move(bounds);
   }
-  descriptors_.push_back(std::move(d));
-  return static_cast<MetricId>(descriptors_.size() - 1);
+  metrics_.push_back(std::move(m));
+  return static_cast<MetricId>(metrics_.size() - 1);
 }
 
 MetricId MetricsRegistry::counter(std::string_view name) {
@@ -122,71 +57,39 @@ MetricId MetricsRegistry::histogram(std::string_view name,
 }
 
 void MetricsRegistry::add(MetricId id, std::uint64_t n) {
-  const Descriptor& d = descriptors_[id];
-  // Only this thread writes its shard, so plain load+store (not CAS) is
-  // race-free; snapshot() reads the same atomics relaxed.
-  std::atomic<std::uint64_t>& slot = local_shard().u64[d.slot];
-  slot.store(slot.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
+  std::lock_guard lock(mutex_);
+  metrics_[id].count += n;
 }
 
 void MetricsRegistry::set(MetricId id, double value) {
-  descriptors_[id].gauge->store(value, std::memory_order_relaxed);
+  std::lock_guard lock(mutex_);
+  metrics_[id].value = value;
 }
 
 void MetricsRegistry::observe(MetricId id, double value) {
-  const Descriptor& d = descriptors_[id];
-  Shard& shard = local_shard();
-  const auto it =
-      std::lower_bound(d.bounds.begin(), d.bounds.end(), value);
-  const std::size_t bucket =
-      static_cast<std::size_t>(it - d.bounds.begin());
-  std::atomic<std::uint64_t>& b = shard.u64[d.slot + bucket];
-  b.store(b.load(std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-  std::atomic<std::uint64_t>& c =
-      shard.u64[d.slot + d.bounds.size() + 1];
-  c.store(c.load(std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-  std::atomic<double>& s = shard.f64[d.sum_slot];
-  s.store(s.load(std::memory_order_relaxed) + value,
-          std::memory_order_relaxed);
+  std::lock_guard lock(mutex_);
+  Metric& m = metrics_[id];
+  const auto it = std::lower_bound(m.bounds.begin(), m.bounds.end(), value);
+  ++m.buckets[static_cast<std::size_t>(it - m.bounds.begin())];
+  ++m.count;
+  m.value += value;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard lock(mutex_);
   MetricsSnapshot out;
-  for (const Descriptor& d : descriptors_) {
-    switch (d.kind) {
-      case Kind::kCounter: {
-        std::uint64_t total = 0;
-        for (const auto& shard : shards_)
-          total += shard->u64[d.slot].load(std::memory_order_relaxed);
-        out.counters.emplace_back(d.name, total);
+  for (const Metric& m : metrics_) {
+    switch (m.kind) {
+      case Kind::kCounter:
+        out.counters.emplace_back(m.name, m.count);
         break;
-      }
-      case Kind::kGauge: {
-        out.gauges.emplace_back(d.name,
-                                d.gauge->load(std::memory_order_relaxed));
+      case Kind::kGauge:
+        out.gauges.emplace_back(m.name, m.value);
         break;
-      }
-      case Kind::kHistogram: {
-        HistogramSnapshot h;
-        h.name = d.name;
-        h.bounds = d.bounds;
-        h.counts.assign(d.bounds.size() + 1, 0);
-        for (const auto& shard : shards_) {
-          for (std::size_t b = 0; b <= d.bounds.size(); ++b) {
-            h.counts[b] +=
-                shard->u64[d.slot + b].load(std::memory_order_relaxed);
-          }
-          h.count += shard->u64[d.slot + d.bounds.size() + 1].load(
-              std::memory_order_relaxed);
-          h.sum += shard->f64[d.sum_slot].load(std::memory_order_relaxed);
-        }
-        out.histograms.push_back(std::move(h));
+      case Kind::kHistogram:
+        out.histograms.push_back(
+            HistogramSnapshot{m.name, m.bounds, m.buckets, m.count, m.value});
         break;
-      }
     }
   }
   return out;
@@ -194,13 +97,11 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::reset() {
   std::lock_guard lock(mutex_);
-  for (const auto& shard : shards_) {
-    for (std::size_t i = 0; i < slot_capacity_; ++i) {
-      shard->u64[i].store(0, std::memory_order_relaxed);
-      shard->f64[i].store(0.0, std::memory_order_relaxed);
-    }
+  for (Metric& m : metrics_) {
+    m.count = 0;
+    m.value = 0.0;
+    std::fill(m.buckets.begin(), m.buckets.end(), 0);
   }
-  for (auto& g : gauges_) g.store(0.0, std::memory_order_relaxed);
 }
 
 double HistogramSnapshot::quantile(double q) const {

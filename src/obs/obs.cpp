@@ -1,5 +1,7 @@
 #include "hcep/obs/obs.hpp"
 
+#include <atomic>
+
 namespace hcep::obs {
 
 namespace {

@@ -169,14 +169,17 @@ std::string EventTracer::jsonl() const {
     out += ",\"ph\":\"";
     out += phase_letter(ev.type);
     out += "\",\"cat\":\"";
-    out += json_escape(strings_[ev.category]);
+    append_json_escaped(out, strings_[ev.category]);
     out += "\",\"name\":\"";
-    out += json_escape(strings_[ev.name]);
+    append_json_escaped(out, strings_[ev.name]);
     out += '"';
     if (ev.type == EventType::kCounter || ev.arg_key != kNoArg) {
       out += ",\"arg\":{\"";
-      out += ev.arg_key != kNoArg ? json_escape(strings_[ev.arg_key])
-                                  : std::string("value");
+      if (ev.arg_key != kNoArg) {
+        append_json_escaped(out, strings_[ev.arg_key]);
+      } else {
+        out += "value";
+      }
       out += "\":";
       out += format_double(ev.arg_value);
       out += '}';

@@ -39,6 +39,11 @@ void ThreadPool::worker_loop() {
     // Workers have no thread-local observer; obs::current() resolves to
     // the process-wide sink when one is installed. Re-queried per task so
     // an observer installed mid-run is picked up.
+    //
+    // The wait is booked to the observer resolved here, before it began:
+    // one cleared or replaced with obs::set_global meanwhile is still
+    // written when this worker wakes, so it must outlive that wait (see
+    // obs::set_global).
     obs::Observer* o = obs::current();
     const auto idle_from = o != nullptr
                                ? std::chrono::steady_clock::now()

@@ -124,9 +124,7 @@ const std::vector<std::pair<std::string, JsonValue>>& JsonValue::fields()
   return fields_;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
+void append_json_escaped(std::string& out, std::string_view s) {
   for (const char ch : s) {
     switch (ch) {
       case '"': out += "\\\""; break;
@@ -144,6 +142,12 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  append_json_escaped(out, s);
   return out;
 }
 
@@ -377,7 +381,9 @@ void JsonValue::write(std::string& out, int indent, bool pretty) const {
       return;
     }
     case Kind::kString:
-      out += '"' + json_escape(string_) + '"';
+      out += '"';
+      append_json_escaped(out, string_);
+      out += '"';
       return;
     case Kind::kArray: {
       out += '[';
@@ -395,7 +401,9 @@ void JsonValue::write(std::string& out, int indent, bool pretty) const {
       for (std::size_t i = 0; i < fields_.size(); ++i) {
         if (i) out += ',';
         if (pretty) append_indent(out, indent + 1);
-        out += '"' + json_escape(fields_[i].first) + "\":";
+        out += '"';
+        append_json_escaped(out, fields_[i].first);
+        out += "\":";
         if (pretty) out += ' ';
         fields_[i].second.write(out, indent + 1, pretty);
       }

@@ -12,8 +12,10 @@ NodeDemand NodeDemand::scaled(double k) const {
 
 const NodeDemand& Workload::demand_for(const std::string& node) const {
   const auto it = demand.find(node);
-  require(it != demand.end(),
-          "Workload '" + name + "': no demand for node type '" + node + "'");
+  if (it == demand.end()) {
+    throw PreconditionError("Workload '" + name +
+                            "': no demand for node type '" + node + "'");
+  }
   return it->second;
 }
 

@@ -8,8 +8,10 @@ namespace hcep::workload {
 
 UnitTime unit_time(const NodeDemand& demand, const hw::NodeSpec& node,
                    unsigned active_cores, Hertz f) {
-  require(active_cores >= 1 && active_cores <= node.cores,
-          "unit_time: active core count out of range for " + node.name);
+  if (active_cores < 1 || active_cores > node.cores) {
+    throw PreconditionError(
+        "unit_time: active core count out of range for " + node.name);
+  }
   require(f.value() > 0.0, "unit_time: non-positive frequency");
 
   UnitTime t;

@@ -5,8 +5,12 @@
 // arena, passing preconditions that build no message), the arrival
 // generator every request is drawn from, the token bucket every
 // admitted request consults, and the latency sketch every completion
-// adds to. Off the hot path, it also bounds what building a JSON object
-// allocates, since every result document is written field by field.
+// adds to. Off the hot path, it also bounds what building and writing a
+// JSON object allocates, since every result document is written field
+// by field; checks that the model's passing preconditions build no
+// message, since a sweep or a cluster simulation calls them per
+// configuration or per job; and checks that writing a registered metric
+// allocates nothing, on any thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,14 +19,20 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hcep/des/simulator.hpp"
+#include "hcep/hw/catalog.hpp"
+#include "hcep/model/cluster_spec.hpp"
+#include "hcep/obs/metrics.hpp"
 #include "hcep/traffic/admission.hpp"
 #include "hcep/traffic/arrivals.hpp"
 #include "hcep/traffic/slo.hpp"
 #include "hcep/util/json.hpp"
 #include "hcep/util/rng.hpp"
+#include "hcep/workload/demand.hpp"
+#include "hcep/workload/node_ops.hpp"
 
 namespace {
 
@@ -150,6 +160,91 @@ TEST(DesAlloc, JsonObjectSetsAllocateOnlyTheFieldsVector) {
   });
   EXPECT_EQ(obj.size(), keys.size());
   EXPECT_LE(news, 16u);
+}
+
+TEST(DesAlloc, JsonDumpAllocatesOnlyTheOutputString) {
+  // Keys and string values of 8-15 characters: an escape through a
+  // temporary string would allocate for every one of them (128), but
+  // escaped straight into the output only its growth allocates.
+  JsonValue obj = JsonValue::object();
+  for (int i = 0; i < 64; ++i) {
+    obj.set("field_name_" + std::to_string(i),
+            JsonValue::string("value_" + std::string(2 + i % 8, 'v')));
+  }
+  std::string text;
+  const std::uint64_t news = news_during([&] { text = obj.dump(); });
+  EXPECT_EQ(text.substr(0, 30), "{\"field_name_0\":\"value_vv\",\"fi");
+  EXPECT_LE(news, 16u);
+}
+
+TEST(DesAlloc, PassingModelPreconditionsAllocateNothing) {
+  // ClusterSpec::validate runs for every model built, and a cluster
+  // simulation looks each group's demand up at every completion: their
+  // passing checks build no message.
+  const model::ClusterSpec cluster = model::make_a9_k10_cluster(4, 2);
+  const hw::NodeSpec a9 = hw::cortex_a9();
+  workload::Workload w;
+  w.name = "synthetic";
+  w.demand[a9.name] = workload::NodeDemand{2e4, 1e3, Bytes{0.0}};
+  const std::uint64_t validate_news = news_during([&] {
+    for (int i = 0; i < 1000; ++i) cluster.validate();
+  });
+  const workload::NodeDemand* d = nullptr;
+  const std::uint64_t demand_news = news_during([&] {
+    for (int i = 0; i < 1000; ++i) d = &w.demand_for(a9.name);
+  });
+  double total_s = 0.0;
+  const std::uint64_t unit_time_news = news_during([&] {
+    for (int i = 0; i < 1000; ++i) {
+      total_s += workload::unit_time(*d, a9, a9.cores, a9.dvfs.max())
+                     .total.value();
+    }
+  });
+  EXPECT_GT(total_s, 0.0);
+  EXPECT_EQ(validate_news, 0u);
+  EXPECT_EQ(demand_news, 0u);
+  EXPECT_EQ(unit_time_news, 0u);
+}
+
+TEST(DesAlloc, RegisteredMetricWritesAllocateNothing) {
+  // Registration allocates the metric's name and buckets. After it,
+  // looking a name up builds no message, and add/set/observe allocate
+  // nothing, on the registering thread or on one that never wrote.
+  obs::MetricsRegistry reg;
+  const obs::MetricId c = reg.counter("pool.tasks");
+  const obs::MetricId g = reg.gauge("obs.trace_dropped");
+  const obs::MetricId h = reg.histogram("sweep.chunk_us", {10, 50, 100});
+  constexpr int kLookups = 1000;
+  std::vector<std::vector<double>> bounds(kLookups, {10, 50, 100});
+  bool same_ids = true;
+  const std::uint64_t news = news_during([&] {
+    for (int i = 0; i < kLookups; ++i) {
+      same_ids = same_ids && reg.counter("pool.tasks") == c &&
+                 reg.gauge("obs.trace_dropped") == g &&
+                 reg.histogram("sweep.chunk_us", std::move(bounds[i])) == h;
+      reg.add(c);
+      reg.set(g, static_cast<double>(i));
+      reg.observe(h, static_cast<double>(i % 200));
+    }
+  });
+  EXPECT_TRUE(same_ids);
+  EXPECT_EQ(news, 0u);
+
+  std::uint64_t thread_news = 1;
+  std::thread([&] {
+    thread_news = news_during([&] {
+      reg.add(c, 2);
+      reg.set(g, -1.0);
+      reg.observe(h, 75.0);
+    });
+  }).join();
+  EXPECT_EQ(thread_news, 0u);
+
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("pool.tasks"), kLookups + 2u);
+  EXPECT_DOUBLE_EQ(snap.gauge("obs.trace_dropped"), -1.0);
+  ASSERT_NE(snap.histogram("sweep.chunk_us"), nullptr);
+  EXPECT_EQ(snap.histogram("sweep.chunk_us")->count, kLookups + 1u);
 }
 
 }  // namespace

@@ -150,7 +150,9 @@ TEST(Traffic, SameSeedRunReportsAreByteIdentical) {
 TEST(Traffic, ObsCountersLedgerTheRun) {
   // A run adds its result's counts to the observer once, after the
   // merge: each counter equals the result, and the engine keeps no
-  // latency histogram, control gauge or trace event of its own.
+  // latency histogram, control gauge or trace event of its own. Each
+  // shard's event loop adds its des.events once, when it drains; the
+  // total is an identity of the result's counts.
   const auto expect_ledger = [](const obs::Observer& observer,
                                 const TrafficResult& r) {
     const auto snap = observer.metrics.snapshot();
@@ -185,6 +187,10 @@ TEST(Traffic, ObsCountersLedgerTheRun) {
                                     options);
     EXPECT_GT(r.shed_bucket, 0u);
     expect_ledger(observer, r);
+    // One pump event per arrival plus the firing that finds the budget
+    // spent, one per retry timer, one per completion.
+    EXPECT_EQ(observer.metrics.snapshot().counter("des.events"),
+              r.offered + 1 + r.retries + r.completed);
   }
   {
     SCOPED_TRACE("power gate, two parallel shards");
@@ -205,6 +211,10 @@ TEST(Traffic, ObsCountersLedgerTheRun) {
     EXPECT_GT(r.control.sleeps, 0u);
     EXPECT_GT(r.control.wakes, 0u);
     expect_ledger(observer, r);
+    // One replayed arrival per request, one event per completion and per
+    // counted tick, and per shard the periodic tick that finds it drained.
+    EXPECT_EQ(observer.metrics.snapshot().counter("des.events"),
+              r.offered + r.completed + r.control.ticks + 2);
   }
 }
 
