@@ -60,19 +60,21 @@ PointMetrics OperatingPointTable::evaluate(const DecodedGroup* groups,
   // Stack scratch (kMaxTypes caps n): one table lookup per group, and the
   // time-pass intermediates carry over into the energy pass instead of
   // being recomputed. Same floating-point operations in the same order as
-  // TimeEnergyModel, so both passes agree to machine precision.
+  // TimeEnergyModel, so both passes agree to machine precision. The
+  // scratch is raw doubles: an array of Quantity is zero-filled on
+  // construction, 256 bytes of stores per call for these two.
   const OperatingPointEntry* ent[kMaxTypes];
   double cnt[kMaxTypes];
-  Watts idle[kMaxTypes];
+  double idle[kMaxTypes];  // W per node
   double per_node_units[kMaxTypes];
-  Seconds t_io[kMaxTypes];
+  double t_io[kMaxTypes];  // s
 
   // Rate-matched split: work shares are proportional to group throughput.
   double total_rate = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     ent[k] = &entry(groups[k].type, groups[k].point);
     cnt[k] = static_cast<double>(groups[k].count);
-    idle[k] = idle_power(groups[k].type);
+    idle[k] = idle_power(groups[k].type).value();
     total_rate += ent[k]->throughput * cnt[k];
   }
   // Division is the hot loop's costliest operation: one reciprocal of the
@@ -93,8 +95,9 @@ PointMetrics OperatingPointTable::evaluate(const DecodedGroup* groups,
     const Seconds t_cpu = e.t_cpu * per_node_units[k];
     const Seconds io_transfer = e.t_io * per_node_units[k];
     const Seconds io_floor = io_request_interval_ / cnt[k];
-    t_io[k] = std::max(io_transfer, io_floor);
-    out.time = std::max(out.time, std::max(t_cpu, t_io[k]));
+    const Seconds io = std::max(io_transfer, io_floor);
+    t_io[k] = io.value();
+    out.time = std::max(out.time, std::max(t_cpu, io));
   }
 
   // Pass 2: Table 2 energy rows plus the cluster power floors, summed in
@@ -108,11 +111,11 @@ PointMetrics OperatingPointTable::evaluate(const DecodedGroup* groups,
     const Joules e_cpu_active = e.p_core_active * t_core * cnt[k];
     const Joules e_cpu_stall = e.p_core_stall * stall * cnt[k];
     const Joules e_mem = e.p_mem * t_mem * cnt[k];
-    const Joules e_net = e.p_net * t_io[k] * cnt[k];
-    const Joules e_idle = idle[k] * out.time * cnt[k];
+    const Joules e_net = e.p_net * Seconds{t_io[k]} * cnt[k];
+    const Joules e_idle = Watts{idle[k]} * out.time * cnt[k];
     out.energy += e_cpu_active + e_cpu_stall + e_mem + e_net + e_idle;
 
-    out.idle_power += idle[k] * cnt[k];
+    out.idle_power += Watts{idle[k] * cnt[k]};
     out.busy_power += e.busy_power * cnt[k];
   }
   return out;

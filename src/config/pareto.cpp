@@ -106,7 +106,7 @@ EvaluationSet evaluate_space(const ConfigSpace& space,
   };
 
   ThreadPool& p = pool ? *pool : ThreadPool::global();
-  parallel_for(p, 0, n_chunks, sweep_chunk, 1);
+  parallel_for(p, 0, n_chunks, std::ref(sweep_chunk), 1);
   if (o != nullptr) {
     o->metrics.add(configs_m, n_cfg);
     o->metrics.add(chunks_m, n_chunks);
@@ -162,9 +162,10 @@ std::vector<Evaluation> pareto_front(std::vector<Evaluation> evaluations) {
 
 std::vector<Evaluation> pareto_front(const EvaluationSet& evals) {
   if (evals.empty()) return {};
-  const auto& time = evals.times();
-  const auto& energy = evals.energies();
+  const double* time = evals.times().data();
+  const double* energy = evals.energies().data();
   const std::size_t n = evals.size();
+  ThreadPool& pool = ThreadPool::global();
 
   // Bucketed domination prefilter: bucket the time axis, take the prefix
   // minimum of per-bucket energies, and drop every point beaten on energy
@@ -178,53 +179,100 @@ std::vector<Evaluation> pareto_front(const EvaluationSet& evals) {
   // equal-width buckets put most points in the first bucket, where
   // nothing is dropped. (t + 0.0 turns -0.0 into +0.0, so equal times
   // share one key.)
+  //
+  // The passes run on the global pool: the key range is a
+  // parallel_reduce, and the others split the rows into fixed blocks of
+  // kScanBlock, each writing only its own slots, which are combined in
+  // block order. No result depends on which thread ran a block.
   auto key_of = [](double t) {
     const auto b = std::bit_cast<std::uint64_t>(t + 0.0);
     return (b >> 63) != 0 ? ~b : b | std::uint64_t{1} << 63;
   };
-  std::uint64_t key_lo = key_of(time[0]);
-  std::uint64_t key_hi = key_lo;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::uint64_t k = key_of(time[i]);
-    key_lo = std::min(key_lo, k);
-    key_hi = std::max(key_hi, k);
-  }
+  const std::size_t blocks = (n + kScanBlock - 1) / kScanBlock;
+  const auto for_each_block = [&](const auto& pass) {
+    parallel_for(
+        pool, 0, blocks,
+        [&pass, n](std::size_t b) {
+          pass(b, b * kScanBlock, std::min(n, (b + 1) * kScanBlock));
+        },
+        1);
+  };
+
+  struct KeyRange {
+    std::uint64_t lo, hi;
+  };
+  const KeyRange range = parallel_reduce(
+      pool, 0, n, KeyRange{~std::uint64_t{0}, 0},
+      [&](std::size_t i) {
+        const std::uint64_t k = key_of(time[i]);
+        return KeyRange{k, k};
+      },
+      [](KeyRange a, KeyRange b) {
+        return KeyRange{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
+      },
+      kScanBlock);
   constexpr std::uint64_t kMaxBuckets = 1024;
   unsigned shift = 0;
-  while ((key_hi >> shift) - (key_lo >> shift) >= kMaxBuckets) ++shift;
-  const std::uint64_t base = key_lo >> shift;
+  while ((range.hi >> shift) - (range.lo >> shift) >= kMaxBuckets) ++shift;
+  const std::uint64_t base = range.lo >> shift;
   auto bucket_of = [&](double t) {
     return static_cast<std::size_t>((key_of(t) >> shift) - base);
   };
+
+  // One row of bucket minima per block, folded into the first row in
+  // block order (std::min keeps the earlier of equal values, as the
+  // serial fold did).
+  const std::size_t buckets =
+      static_cast<std::size_t>((range.hi >> shift) - base + 1);
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> bucket_min(
-      static_cast<std::size_t>((key_hi >> shift) - base + 1), inf);
-  for (std::size_t i = 0; i < n; ++i) {
-    double& slot = bucket_min[bucket_of(time[i])];
-    slot = std::min(slot, energy[i]);
+  std::vector<double> block_min(blocks * buckets, inf);
+  for_each_block([&](std::size_t b, std::size_t lo, std::size_t hi) {
+    double* row = block_min.data() + b * buckets;
+    for (std::size_t i = lo; i < hi; ++i) {
+      double& slot = row[bucket_of(time[i])];
+      slot = std::min(slot, energy[i]);
+    }
+  });
+  double* bucket_min = block_min.data();
+  for (std::size_t b = 1; b < blocks; ++b) {
+    const double* row = block_min.data() + b * buckets;
+    for (std::size_t k = 0; k < buckets; ++k)
+      bucket_min[k] = std::min(bucket_min[k], row[k]);
   }
-  double running = inf;
-  for (double& slot : bucket_min) {  // prefix min over faster buckets
-    const double here = slot;
-    slot = running;
+  double running = inf;  // prefix min over faster buckets
+  for (std::size_t k = 0; k < buckets; ++k) {
+    const double here = bucket_min[k];
+    bucket_min[k] = running;
     running = std::min(running, here);
   }
+  // Dominated by a strictly faster bucket's best energy.
+  auto dominated = [&](std::size_t i) {
+    return bucket_min[bucket_of(time[i])] <= energy[i];
+  };
 
   // Compact (time, energy, index) keys sort contiguously — no random
   // access into the metric columns per comparison, and no string-bearing
-  // Evaluation structs are swapped.
+  // Evaluation structs are swapped. Each block counts its survivors
+  // first, so the keys array is allocated once at its exact size and
+  // every block writes its survivors, in index order, at its offset.
   struct Key {
     double time;
     double energy;
     std::uint64_t index;
   };
-  std::vector<Key> keys;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (bucket_min[bucket_of(time[i])] <= energy[i]) {
-      continue;  // dominated by a strictly faster bucket's best energy
-    }
-    keys.push_back(Key{time[i], energy[i], i});
-  }
+  std::vector<std::size_t> offset(blocks + 1, 0);
+  for_each_block([&](std::size_t b, std::size_t lo, std::size_t hi) {
+    std::size_t kept = 0;
+    for (std::size_t i = lo; i < hi; ++i) kept += dominated(i) ? 0 : 1;
+    offset[b + 1] = kept;
+  });
+  for (std::size_t b = 0; b < blocks; ++b) offset[b + 1] += offset[b];
+  std::vector<Key> keys(offset[blocks]);
+  for_each_block([&](std::size_t b, std::size_t lo, std::size_t hi) {
+    Key* out = keys.data() + offset[b];
+    for (std::size_t i = lo; i < hi; ++i)
+      if (!dominated(i)) *out++ = Key{time[i], energy[i], i};
+  });
   std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
     if (a.time != b.time) return a.time < b.time;
     if (a.energy != b.energy) return a.energy < b.energy;
@@ -242,6 +290,29 @@ std::vector<Evaluation> pareto_front(const EvaluationSet& evals) {
   return front;
 }
 
+namespace {
+
+/// The row a scan keeps and the value it minimizes there.
+struct Pick {
+  double value;
+  std::size_t row;
+};
+
+/// The row of `evals` with the least `value(i)`, the first such row on a
+/// tie, starting from `init`: a reduction over blocks of at least
+/// kScanBlock rows on the global pool. Keeping the earlier pick unless the
+/// later one is strictly lower makes the block-order combine return
+/// exactly the row a serial scan returns.
+template <class Value>
+Pick first_min(const EvaluationSet& evals, Pick init, Value value) {
+  return parallel_reduce(
+      ThreadPool::global(), 0, evals.size(), init,
+      [&](std::size_t i) { return Pick{value(i), i}; },
+      [](Pick a, Pick b) { return b.value < a.value ? b : a; }, kScanBlock);
+}
+
+}  // namespace
+
 std::optional<Evaluation> min_energy_within_deadline(
     const std::vector<Evaluation>& evaluations, Seconds deadline) {
   std::optional<Evaluation> best;
@@ -254,17 +325,17 @@ std::optional<Evaluation> min_energy_within_deadline(
 
 std::optional<Evaluation> min_energy_within_deadline(
     const EvaluationSet& evals, Seconds deadline) {
-  std::size_t best = evals.size();
-  double best_energy = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < evals.size(); ++i) {
-    if (evals.times()[i] > deadline.value()) continue;
-    if (evals.energies()[i] < best_energy) {
-      best_energy = evals.energies()[i];
-      best = i;
-    }
-  }
-  if (best == evals.size()) return std::nullopt;
-  return evals.materialize(best);
+  const double* time = evals.times().data();
+  const double* energy = evals.energies().data();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A row past the deadline scores +inf, which no pick is above.
+  const Pick best = first_min(evals, Pick{inf, evals.size()},
+                              [&](std::size_t i) {
+                                return time[i] > deadline.value() ? inf
+                                                                  : energy[i];
+                              });
+  if (best.row == evals.size()) return std::nullopt;
+  return evals.materialize(best.row);
 }
 
 std::optional<Evaluation> fastest(
@@ -278,11 +349,12 @@ std::optional<Evaluation> fastest(
 
 std::optional<Evaluation> fastest(const EvaluationSet& evals) {
   if (evals.empty()) return std::nullopt;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < evals.size(); ++i) {
-    if (evals.times()[i] < evals.times()[best]) best = i;
-  }
-  return evals.materialize(best);
+  const double* time = evals.times().data();
+  // Starting from row 0, as the serial scan did, keeps its answer when
+  // row 0 is NaN or every time is +inf.
+  const Pick best = first_min(evals, Pick{time[0], 0},
+                              [&](std::size_t i) { return time[i]; });
+  return evals.materialize(best.row);
 }
 
 JouleSeconds energy_delay_product(const Evaluation& e) {
@@ -309,18 +381,16 @@ std::optional<Evaluation> min_edp(const std::vector<Evaluation>& evaluations,
 }
 
 std::optional<Evaluation> min_edp(const EvaluationSet& evals, bool squared) {
-  std::size_t best = evals.size();
-  double best_score = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < evals.size(); ++i) {
-    const double t = evals.times()[i];
-    const double score = evals.energies()[i] * t * (squared ? t : 1.0);
-    if (score < best_score) {
-      best_score = score;
-      best = i;
-    }
-  }
-  if (best == evals.size()) return std::nullopt;
-  return evals.materialize(best);
+  const double* time = evals.times().data();
+  const double* energy = evals.energies().data();
+  const Pick best = first_min(
+      evals, Pick{std::numeric_limits<double>::infinity(), evals.size()},
+      [&](std::size_t i) {
+        const double t = time[i];
+        return energy[i] * t * (squared ? t : 1.0);
+      });
+  if (best.row == evals.size()) return std::nullopt;
+  return evals.materialize(best.row);
 }
 
 }  // namespace hcep::config

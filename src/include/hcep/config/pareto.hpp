@@ -12,7 +12,8 @@
 // tuple — 38 for the 36,380-configuration footnote-4 space) and fuses
 // each configuration in O(#types) arithmetic, writing into a
 // structure-of-arrays EvaluationSet. Selection helpers operate on the
-// metric columns and materialize full Evaluations only for winners.
+// metric columns, in blocks on the global thread pool, and materialize
+// full Evaluations only for winners.
 // evaluate_space_naive keeps the original one-TimeEnergyModel-per-
 // configuration path as the cross-check oracle.
 #pragma once
@@ -29,6 +30,12 @@
 #include "hcep/workload/demand.hpp"
 
 namespace hcep::config {
+
+/// Rows per block of the pooled EvaluationSet scans below (pareto_front,
+/// min_energy_within_deadline, fastest, min_edp). Blocks hold at least
+/// this many rows, so a set of at most kScanBlock rows is scanned inline
+/// on the calling thread.
+inline constexpr std::size_t kScanBlock = std::size_t{1} << 15;
 
 /// Evaluates every configuration in `space` for one job of `workload`
 /// via the memoized fast path. Runs on `pool` (nullptr = the global
@@ -54,18 +61,22 @@ namespace hcep::config {
 /// on (time, energy) go to the lowest index.
 [[nodiscard]] std::vector<Evaluation> pareto_front(
     std::vector<Evaluation> evaluations);
+/// Runs on the global pool, inline when called from a pool worker.
 [[nodiscard]] std::vector<Evaluation> pareto_front(const EvaluationSet& evals);
 
 /// Minimum-energy configuration meeting `deadline`; nullopt when no
-/// configuration is fast enough.
+/// configuration is fast enough. On a tie, the first row wins.
 [[nodiscard]] std::optional<Evaluation> min_energy_within_deadline(
     const std::vector<Evaluation>& evaluations, Seconds deadline);
+/// Runs on the global pool, inline when called from a pool worker.
 [[nodiscard]] std::optional<Evaluation> min_energy_within_deadline(
     const EvaluationSet& evals, Seconds deadline);
 
-/// Fastest configuration regardless of energy.
+/// Fastest configuration regardless of energy; on a tie, the first row
+/// wins.
 [[nodiscard]] std::optional<Evaluation> fastest(
     const std::vector<Evaluation>& evaluations);
+/// Runs on the global pool, inline when called from a pool worker.
 [[nodiscard]] std::optional<Evaluation> fastest(const EvaluationSet& evals);
 
 /// Energy-delay product E_P * T_P — the classic single-number compromise
@@ -76,9 +87,10 @@ namespace hcep::config {
 [[nodiscard]] JouleSecondsSquared energy_delay2_product(const Evaluation& e);
 
 /// Configuration minimizing EDP (or ED2P when `squared`); always a member
-/// of the Pareto frontier.
+/// of the Pareto frontier. On a tie, the first row wins.
 [[nodiscard]] std::optional<Evaluation> min_edp(
     const std::vector<Evaluation>& evaluations, bool squared = false);
+/// Runs on the global pool, inline when called from a pool worker.
 [[nodiscard]] std::optional<Evaluation> min_edp(const EvaluationSet& evals,
                                                 bool squared = false);
 

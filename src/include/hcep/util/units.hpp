@@ -195,6 +195,9 @@ class Quantity {
   }
 
  private:
+  // Zero by default, so an array of quantities is zero-filled on
+  // construction: per-call hot-path scratch stays raw double (see
+  // OperatingPointTable::evaluate).
   double value_ = 0.0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 #include "hcep/obs/obs.hpp"
 
@@ -71,6 +72,69 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+void ThreadPool::post(std::function<void()> task) {
+  {
+    std::lock_guard lock(mutex_);
+    if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
+    tasks_.push(std::move(task));
+  }
+  cv_.notify_one();
+}
+
+namespace {
+
+/// One parallel_for call's shared state. It lives in the caller's stack
+/// frame, and the caller returns only after every posted helper has
+/// finished with it.
+struct Sweep {
+  Sweep(const std::function<void(std::size_t)>& fn, std::size_t begin,
+        std::size_t last, std::size_t chunk_size, std::size_t helpers)
+      : f(fn), end(last), chunk(chunk_size), next(begin), pending(helpers) {}
+
+  const std::function<void(std::size_t)>& f;
+  const std::size_t end;
+  const std::size_t chunk;
+  std::atomic<std::size_t> next;
+  std::atomic<bool> failed{false};
+  std::mutex mutex;  ///< guards error and pending
+  std::condition_variable idle;
+  std::exception_ptr error;
+  std::size_t pending;  ///< helpers posted and not yet finished
+
+  /// Keeps the first exception and abandons the remaining chunks.
+  void fail(std::exception_ptr e) {
+    std::lock_guard lock(mutex);
+    if (!error) error = std::move(e);
+    failed.store(true, std::memory_order_relaxed);
+  }
+
+  void claim_chunks() {
+    for (;;) {
+      if (failed.load(std::memory_order_relaxed)) return;
+      const std::size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
+      if (lo >= end) return;
+      const std::size_t hi = std::min(lo + chunk, end);
+      try {
+        for (std::size_t i = lo; i < hi; ++i) f(i);
+      } catch (...) {
+        fail(std::current_exception());
+        return;
+      }
+    }
+  }
+
+  /// A helper's last touch of the frame. The count drops and the caller
+  /// is woken under the mutex, so the caller cannot see zero and return
+  /// while this helper is still inside the notify; unlocking the mutex
+  /// is the helper's final access.
+  void helper_done() {
+    std::lock_guard lock(mutex);
+    if (--pending == 0) idle.notify_one();
+  }
+};
+
+}  // namespace
+
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& f,
                   std::size_t min_block) {
@@ -86,45 +150,35 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     return;
   }
 
-  struct SweepState {
-    std::atomic<std::size_t> next;
-    std::atomic<bool> failed{false};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-  } state;
-  state.next.store(begin, std::memory_order_relaxed);
-
-  auto claim_chunks = [&state, &f, end, chunk] {
-    for (;;) {
-      if (state.failed.load(std::memory_order_relaxed)) return;
-      const std::size_t lo =
-          state.next.fetch_add(chunk, std::memory_order_relaxed);
-      if (lo >= end) return;
-      const std::size_t hi = std::min(lo + chunk, end);
-      try {
-        for (std::size_t i = lo; i < hi; ++i) f(i);
-      } catch (...) {
-        std::lock_guard lock(state.error_mutex);
-        if (!state.error) state.error = std::current_exception();
-        state.failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
   // One claiming task per worker that can usefully participate; the
   // calling thread claims chunks too, so a busy pool never stalls the
-  // sweep — the caller just ends up doing most of the work itself.
+  // sweep — the caller just ends up doing most of the work itself. Each
+  // task captures one pointer, which std::function stores inline.
   const std::size_t chunks = (n + chunk - 1) / chunk;
   const std::size_t helpers = std::min(pool.size(), chunks - 1);
-  std::vector<std::future<void>> futures;
-  futures.reserve(helpers);
-  for (std::size_t i = 0; i < helpers; ++i)
-    futures.push_back(pool.submit(claim_chunks));
-  claim_chunks();
-  // Helper tasks trap their exceptions into `state`, so get() only joins.
-  for (auto& fut : futures) fut.get();
-  if (state.error) std::rethrow_exception(state.error);
+  Sweep sweep(f, begin, end, chunk, helpers);
+  for (std::size_t posted = 0; posted < helpers; ++posted) {
+    try {
+      pool.post([s = &sweep] {
+        s->claim_chunks();
+        s->helper_done();
+      });
+    } catch (...) {
+      // Helpers never posted never finish: stop counting on them.
+      {
+        std::lock_guard lock(sweep.mutex);
+        sweep.pending -= helpers - posted;
+      }
+      sweep.fail(std::current_exception());
+      break;
+    }
+  }
+  sweep.claim_chunks();
+  {
+    std::unique_lock lock(sweep.mutex);
+    sweep.idle.wait(lock, [&sweep] { return sweep.pending == 0; });
+  }
+  if (sweep.error) std::rethrow_exception(sweep.error);
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

@@ -4,9 +4,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "hcep/config/budget.hpp"
 #include "hcep/config/pareto.hpp"
@@ -372,6 +374,59 @@ void expect_front_matches_reference(const EvaluationSet& evals) {
   }
 }
 
+/// Which scan a multi-block set plants a tied minimum for.
+enum class Planted { kTime, kEnergy, kEdp };
+
+/// The sizes that put a set's rows in one block, exactly one, just over
+/// one, and a few with a short last block.
+constexpr std::size_t kBlockSizes[] = {1, kScanBlock - 1, kScanBlock,
+                                       kScanBlock + 1, 3 * kScanBlock + 5};
+
+/// The two rows a multi-block set plants its tied minimum at: the last
+/// row, and one block before it when the set spans several blocks (the
+/// middle row otherwise).
+std::pair<std::size_t, std::size_t> planted_rows(std::size_t n) {
+  const std::size_t second = n - 1;
+  const std::size_t first = n > kScanBlock ? second - kScanBlock : n / 2;
+  return {first, second};
+}
+
+/// The deadline every multi-block set is scanned against.
+constexpr double kPlantedDeadline = 8.0;
+
+/// A set of `n` rows on a space large enough to materialize them: base
+/// times in [2, 12) s and energies in [50, 150) J, with one quantity's
+/// minimum planted at the two planted_rows. Energy plants also a
+/// lower-energy row past the deadline just before the first of them.
+EvaluationSet multi_block_set(std::size_t n, Planted planted) {
+  static const ConfigSpace space = make_a9_k10_space(17, 17);
+  EXPECT_GE(space.size(), n);
+  EvaluationSet s(&space, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.set(i, Seconds{2.0 + static_cast<double>(i * 7919 % 1000) / 100.0},
+          Joules{50.0 + static_cast<double>(i * 104729 % 997) / 10.0},
+          Watts{1.0}, Watts{2.0});
+  }
+  const auto [first, second] = planted_rows(n);
+  for (const std::size_t row : {first, second}) {
+    switch (planted) {
+      case Planted::kTime:  // fastest; EDP 200, not the minimum
+        s.set(row, Seconds{1.0}, Joules{200.0}, Watts{1.0}, Watts{2.0});
+        break;
+      case Planted::kEnergy:  // cheapest in time; EDP 75
+        s.set(row, Seconds{7.5}, Joules{10.0}, Watts{1.0}, Watts{2.0});
+        break;
+      case Planted::kEdp:  // EDP 30, ED2P 45
+        s.set(row, Seconds{1.5}, Joules{20.0}, Watts{1.0}, Watts{2.0});
+        break;
+    }
+  }
+  if (planted == Planted::kEnergy && first > 0) {  // EDP 100, ED2P 2,000
+    s.set(first - 1, Seconds{20.0}, Joules{5.0}, Watts{1.0}, Watts{2.0});
+  }
+  return s;
+}
+
 TEST(ParetoFront, PrefilterMatchesSortEverythingOnEveryProgram) {
   // 92,768 configurations; a program's slowest time is 35x (memcached)
   // to 14,000x (RSA-2048) its fastest, the range the prefilter's
@@ -443,6 +498,33 @@ TEST(ParetoFront, PrefilterMatchesSortEverythingOnHandBuiltSets) {
     expect_front_matches_reference(wide);
     EXPECT_GT(pareto_front(wide).size(), 3u);
   }
+  // Sets of one to four blocks of the pooled passes. Each plants a front
+  // member at two rows with equal (time, energy), in different blocks
+  // when there are several: the lower index wins.
+  for (const std::size_t n : kBlockSizes) {
+    for (const Planted planted :
+         {Planted::kTime, Planted::kEnergy, Planted::kEdp}) {
+      SCOPED_TRACE("rows " + std::to_string(n) + ", plant " +
+                   std::to_string(static_cast<int>(planted)));
+      const EvaluationSet set = multi_block_set(n, planted);
+      expect_front_matches_reference(set);
+      const auto front = pareto_front(set);
+      const std::size_t first = planted_rows(n).first;
+      EXPECT_TRUE(std::any_of(front.begin(), front.end(),
+                              [&](const Evaluation& e) {
+                                return e.index == first;
+                              }));
+    }
+  }
+  {  // Every row of four blocks at one time: one member, the first of
+     // the lowest energy.
+    EvaluationSet flat = multi_block_set(3 * kScanBlock + 5, Planted::kTime);
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      flat.set(i, Seconds{4.0}, flat.energy(i), Watts{1.0}, Watts{2.0});
+    }
+    expect_front_matches_reference(flat);
+    EXPECT_EQ(pareto_front(flat).size(), 1u);
+  }
 }
 
 TEST(ParetoFront, EmptyInputYieldsEmptyFront) {
@@ -513,6 +595,95 @@ TEST(MinEnergyWithinDeadline, PicksCheapestFeasible) {
       min_energy_within_deadline(evals, fastest_eval->time * 1.2);
   ASSERT_TRUE(tight.has_value());
   EXPECT_LE(tight->time, fastest_eval->time * 1.2);
+}
+
+/// The serial scans the pooled EvaluationSet overloads replaced: the
+/// first row of the minimum, or none.
+std::optional<std::size_t> serial_fastest(const EvaluationSet& s) {
+  if (s.empty()) return std::nullopt;
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < s.size(); ++i)
+    if (s.times()[i] < s.times()[best]) best = i;
+  return best;
+}
+
+std::optional<std::size_t> serial_min_energy_within(const EvaluationSet& s,
+                                                    double deadline) {
+  std::optional<std::size_t> best;
+  double best_energy = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s.times()[i] > deadline) continue;
+    if (s.energies()[i] < best_energy) {
+      best_energy = s.energies()[i];
+      best = i;
+    }
+  }
+  return best;
+}
+
+std::optional<std::size_t> serial_min_edp(const EvaluationSet& s,
+                                          bool squared) {
+  std::optional<std::size_t> best;
+  double best_score = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const double t = s.times()[i];
+    const double score = s.energies()[i] * t * (squared ? t : 1.0);
+    if (score < best_score) {
+      best_score = score;
+      best = i;
+    }
+  }
+  return best;
+}
+
+std::optional<std::size_t> row_of(const std::optional<Evaluation>& e) {
+  if (!e) return std::nullopt;
+  return static_cast<std::size_t>(e->index);
+}
+
+void expect_scans_match_serial(const EvaluationSet& s) {
+  EXPECT_EQ(row_of(fastest(s)), serial_fastest(s));
+  EXPECT_EQ(row_of(min_energy_within_deadline(s, Seconds{kPlantedDeadline})),
+            serial_min_energy_within(s, kPlantedDeadline));
+  EXPECT_EQ(row_of(min_edp(s)), serial_min_edp(s, false));
+  EXPECT_EQ(row_of(min_edp(s, /*squared=*/true)), serial_min_edp(s, true));
+  // A deadline below every time: nothing qualifies.
+  EXPECT_FALSE(min_energy_within_deadline(s, Seconds{0.5}).has_value());
+}
+
+TEST(SetScans, PickWhatTheSerialScansPickAcrossBlocks) {
+  // Each planted minimum sits at two rows, in different blocks when the
+  // set has several: the block-order combine must keep the lower index.
+  for (const std::size_t n : kBlockSizes) {
+    SCOPED_TRACE("rows " + std::to_string(n));
+    const std::size_t first = planted_rows(n).first;
+    {
+      const EvaluationSet s = multi_block_set(n, Planted::kTime);
+      expect_scans_match_serial(s);
+      EXPECT_EQ(row_of(fastest(s)), first);
+    }
+    {
+      const EvaluationSet s = multi_block_set(n, Planted::kEnergy);
+      expect_scans_match_serial(s);
+      EXPECT_EQ(
+          row_of(min_energy_within_deadline(s, Seconds{kPlantedDeadline})),
+          first);
+    }
+    {
+      const EvaluationSet s = multi_block_set(n, Planted::kEdp);
+      expect_scans_match_serial(s);
+      EXPECT_EQ(row_of(min_edp(s)), first);
+      EXPECT_EQ(row_of(min_edp(s, /*squared=*/true)), first);
+    }
+  }
+  {  // Every row at one time: each scan keeps the first row it can.
+    EvaluationSet flat = multi_block_set(3 * kScanBlock + 5, Planted::kEdp);
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      flat.set(i, Seconds{4.0}, flat.energy(i), Watts{1.0}, Watts{2.0});
+    }
+    expect_scans_match_serial(flat);
+    EXPECT_EQ(row_of(fastest(flat)), 0u);
+  }
 }
 
 }  // namespace

@@ -161,6 +161,24 @@ TEST(ParallelFor, RethrowsFirstException) {
       std::runtime_error);
 }
 
+TEST(ParallelFor, CallerReturnsOnlyAfterEveryHelperLetsGo) {
+  // A call's countdown lives in the caller's stack frame, and the next
+  // call reuses that stack. A helper still inside its wake-up of the
+  // caller after the caller saw the count reach zero would write into
+  // the next call's frame; TSan (the sanitize label) reports that.
+  ThreadPool pool(4);
+  std::atomic<int> total{0};
+  for (int call = 0; call < 2000; ++call) {
+    parallel_for(
+        pool, 0, 8,
+        [&total](std::size_t) {
+          total.fetch_add(1, std::memory_order_relaxed);
+        },
+        1);
+  }
+  EXPECT_EQ(total.load(), 2000 * 8);
+}
+
 TEST(ParallelReduce, SumsRange) {
   ThreadPool pool(4);
   const auto total = parallel_reduce<long long>(
